@@ -23,12 +23,14 @@
 //!
 //! [`FftChannel`] is the *spectral* sibling for the large-radius regime:
 //! the same `δ + far-field` split, but the δ-convolutions are evaluated as
-//! circular convolutions on a zero-padded `next_pow2(d + 2b̂)` grid via
-//! [`crate::fft::Fft2d`], with the kernel spectrum computed **once** at
-//! construction and reused by every EM iteration. That turns the
-//! per-iteration cost from O(n_out·b̂²) into O(n² log n), which wins once
-//! b̂ clears the measured crossover (`EmBackend::Auto` applies the
-//! [`crate::tuning`] cost model; see `BENCH_em.json` for the numbers).
+//! circular convolutions on a zero-padded `next_pow2(d + 2b̂)` grid by one
+//! fused [`crate::fft::Fft2d::convolve`] per primitive (row transforms
+//! pruned to the rows that hold data or are read back), with the kernel
+//! spectrum computed **once** at construction and reused by every EM
+//! iteration. That turns the per-iteration cost from O(n_out·b̂²) into
+//! O(n² log n), which wins once b̂ clears the measured crossover
+//! (`EmBackend::Auto` applies the [`crate::tuning`] cost model; see
+//! `BENCH_em.json` for the numbers).
 //!
 //! The dense [`Channel`](dam_fo::em::Channel) remains available as the
 //! reference implementation; property tests assert the stencil agrees
@@ -36,7 +38,7 @@
 //! family, including the `b̂ = 0` degenerate randomized-response kernel
 //! and non-power-of-two grid sides.
 
-use crate::fft::{spectrum_mul, spectrum_mul_conj, Fft2d};
+use crate::fft::{Fft2d, Product};
 use crate::kernel::DiscreteKernel;
 use crate::tuning::PARALLEL_WORK_THRESHOLD;
 use dam_fo::em::{ChannelOp, EmWorkspace};
@@ -177,21 +179,25 @@ impl ChannelOp for ConvChannel {
 
 /// The spectral [`ChannelOp`]: same `δ + far-field` decomposition as
 /// [`ConvChannel`], with the δ-convolutions evaluated in the frequency
-/// domain.
+/// domain by one fused [`Fft2d::convolve`] per primitive.
 ///
 /// * **E-step** `M·f`: `f` is zero-padded onto the `n × n` grid
-///   (`n = next_pow2(d + 2b̂)`), transformed, multiplied by the cached
-///   kernel spectrum, and inverted; the linear-convolution support
+///   (`n = next_pow2(d + 2b̂)`) and circularly convolved with the cached
+///   kernel spectrum; only its `d` rows are transformed and only the
+///   `d + 2b̂` output rows inverted. The linear-convolution support
 ///   `[0, d + 2b̂)²` fits inside the circular period, so the read-back is
 ///   exact. The rank-one far-field term `q̂·Σf` stays closed-form.
 /// * **M-step** `Mᵀw`: the adjoint is a *correlation*, evaluated through
 ///   the **conjugate** kernel spectrum — `Σ_s δ[s]·w[t+s]` never wraps
-///   because `t + s ≤ d + 2b̂ - 1 < n` on both axes.
+///   because `t + s ≤ d + 2b̂ - 1 < n` on both axes. Its `d + 2b̂` rows
+///   are transformed and only the `d` rows read back are inverted.
 ///
 /// The kernel spectrum is computed **once** here and reused by every EM
-/// iteration; per-call scratch (padded grid, row spectra, half-spectrum)
-/// lives in the [`EmWorkspace`], so steady-state iterations allocate
-/// nothing.
+/// iteration; the `2/n²` inverse scale is folded into the readout. Per-
+/// call scratch (row spectra, column planes) lives in the
+/// [`EmWorkspace`], so steady-state iterations allocate nothing. The
+/// estimates are bit-identical to a separate forward transform, spectrum
+/// product and inverse transform (see [`crate::fft`]).
 #[derive(Debug, Clone)]
 pub struct FftChannel {
     /// Input grid side.
@@ -203,29 +209,18 @@ pub struct FftChannel {
     /// Transform plan for the padded grid.
     fft: Fft2d,
     /// Half-spectrum of the δ stencil, computed once per channel.
-    kspec: Vec<f64>,
+    kspec: Vec<[f64; 2]>,
 }
 
 impl FftChannel {
     /// Builds the spectral operator for a kernel: extracts the δ stencil
     /// and transforms it once. O(n² log n) setup.
     pub fn new(kernel: &DiscreteKernel) -> Self {
-        let d = kernel.d() as usize;
-        let out_d = kernel.out_d() as usize;
-        let side = kernel.box_side();
         let far = kernel.q_hat();
-        let fft = Fft2d::new(out_d);
-        let n = fft.n();
-        let mut pad = vec![0.0f64; fft.real_len()];
-        for (dy, row) in kernel.offset_masses().chunks_exact(side).enumerate() {
-            for (dx, &m) in row.iter().enumerate() {
-                pad[dy * n + dx] = m - far;
-            }
-        }
-        let mut rowspec = vec![0.0f64; fft.rowspec_len()];
-        let mut kspec = vec![0.0f64; fft.spectrum_len()];
-        fft.forward(&pad, &mut rowspec, &mut kspec);
-        Self { d, out_d, far, fft, kspec }
+        let fft = Fft2d::new(kernel.out_d() as usize);
+        let delta: Vec<f64> = kernel.offset_masses().iter().map(|&m| m - far).collect();
+        let kspec = fft.spectrum(&delta, kernel.box_side());
+        Self { d: kernel.d() as usize, out_d: kernel.out_d() as usize, far, fft, kspec }
     }
 
     /// Padded transform side `n = next_pow2(d + 2b̂)`.
@@ -240,23 +235,19 @@ impl FftChannel {
         self.far
     }
 
-    /// Zero-pads a `src_d × src_d` field into the workspace's `n × n`
-    /// grid, transforms it, and leaves the half-spectrum in `spec`.
-    fn transform_padded<'w>(
+    /// Circular convolution (or correlation) of the `src_d`-wide field
+    /// `src` with the δ stencil, yielding the first `rows_out` unscaled
+    /// rows of the padded result.
+    fn convolve<'w>(
         &self,
         src: &[f64],
         src_d: usize,
+        product: Product,
+        rows_out: usize,
         ws: &'w mut EmWorkspace,
-    ) -> [&'w mut Vec<f64>; 3] {
-        let n = self.fft.n();
-        let [pad, rowspec, spec] =
-            ws.planes([self.fft.real_len(), self.fft.rowspec_len(), self.fft.spectrum_len()]);
-        pad.fill(0.0);
-        for (src_row, pad_row) in src.chunks_exact(src_d).zip(pad.chunks_mut(n)) {
-            pad_row[..src_d].copy_from_slice(src_row);
-        }
-        self.fft.forward(pad, rowspec, spec);
-        [pad, rowspec, spec]
+    ) -> impl Iterator<Item = &'w [f64]> + 'w {
+        let [scratch, spec] = ws.planes([self.fft.scratch_len(), self.fft.spectrum_len()]);
+        self.fft.convolve(src, src_d, &self.kspec, product, rows_out, [scratch, spec])
     }
 }
 
@@ -274,14 +265,12 @@ impl ChannelOp for FftChannel {
     fn apply(&self, f: &[f64], out: &mut [f64], ws: &mut EmWorkspace) {
         debug_assert_eq!(f.len(), self.n_in());
         debug_assert_eq!(out.len(), self.n_out());
-        let n = self.fft.n();
+        let (out_d, scale) = (self.out_d, self.fft.scale());
         let far_term = self.far * f.iter().sum::<f64>();
-        let [pad, rowspec, spec] = self.transform_padded(f, self.d, ws);
-        spectrum_mul(spec, &self.kspec);
-        self.fft.inverse(spec, rowspec, pad);
-        for (out_row, pad_row) in out.chunks_exact_mut(self.out_d).zip(pad.chunks_exact(n)) {
-            for (o, &c) in out_row.iter_mut().zip(&pad_row[..self.out_d]) {
-                *o = far_term + c;
+        let rows = self.convolve(f, self.d, Product::Convolve, out_d, ws);
+        for (out_row, row) in out.chunks_exact_mut(out_d).zip(rows) {
+            for (o, &v) in out_row.iter_mut().zip(&row[..out_d]) {
+                *o = far_term + v * scale;
             }
         }
     }
@@ -290,18 +279,12 @@ impl ChannelOp for FftChannel {
         debug_assert_eq!(w.len(), self.n_out());
         debug_assert_eq!(f.len(), self.n_in());
         debug_assert_eq!(f_new.len(), self.n_in());
-        let n = self.fft.n();
+        let (d, scale) = (self.d, self.fft.scale());
         let far_term = self.far * w.iter().sum::<f64>();
-        let [pad, rowspec, spec] = self.transform_padded(w, self.out_d, ws);
-        spectrum_mul_conj(spec, &self.kspec);
-        self.fft.inverse(spec, rowspec, pad);
-        let d = self.d;
-        for iy in 0..d {
-            let (f_row, pad_row) = (&f[iy * d..(iy + 1) * d], &pad[iy * n..iy * n + d]);
-            for (new, (&fi, &c)) in
-                f_new[iy * d..(iy + 1) * d].iter_mut().zip(f_row.iter().zip(pad_row))
-            {
-                *new = fi * (far_term + c);
+        let rows = self.convolve(w, self.out_d, Product::Correlate, d, ws);
+        for ((new_row, f_row), row) in f_new.chunks_exact_mut(d).zip(f.chunks_exact(d)).zip(rows) {
+            for (new, (&fi, &v)) in new_row.iter_mut().zip(f_row.iter().zip(&row[..d])) {
+                *new = fi * (far_term + v * scale);
             }
         }
     }
@@ -374,17 +357,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fft_channel_matches_stencil_on_all_primitives() {
-        // Non-power-of-two d, so the padded grid (32) strictly contains
-        // the output grid (23) and the wrap-free regions are exercised.
-        let kernel = DiscreteKernel::dam(2.5, 13, 5, KernelKind::Shrunken);
-        let conv = ConvChannel::new(&kernel);
-        let fftc = FftChannel::new(&kernel);
-        assert_eq!(fftc.padded_n(), 32);
+    /// Holds [`FftChannel`] to the stencil on both EM primitives.
+    fn assert_fft_matches_stencil(kernel: &DiscreteKernel, seed: u64) {
+        let conv = ConvChannel::new(kernel);
+        let fftc = FftChannel::new(kernel);
         assert_eq!((conv.n_in(), conv.n_out()), (fftc.n_in(), fftc.n_out()));
         let mut ws = EmWorkspace::new();
-        let f = random_f(conv.n_in(), 11);
+        let f = random_f(conv.n_in(), seed);
         let mut a = vec![0.0; conv.n_out()];
         let mut b = vec![0.0; conv.n_out()];
         conv.apply(&f, &mut a, &mut ws);
@@ -392,7 +371,7 @@ mod tests {
         for o in 0..conv.n_out() {
             assert!((a[o] - b[o]).abs() < 1e-12, "apply {o}: {} vs {}", a[o], b[o]);
         }
-        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 1);
         let w: Vec<f64> = (0..conv.n_out()).map(|_| rng.gen::<f64>()).collect();
         let mut fa = vec![0.0; conv.n_in()];
         let mut fb = vec![0.0; conv.n_in()];
@@ -404,20 +383,37 @@ mod tests {
     }
 
     #[test]
+    fn fft_channel_matches_stencil_on_all_primitives() {
+        // (d, b̂, padded n, pool path): the pruned row passes must read
+        // and write exactly the rows each primitive needs at every shape.
+        let shapes = [
+            // d + 2b̂ = 32 exactly: no padding slack, every row is data.
+            (20, 6, 32, false),
+            // Odd d: the padded grid (32) strictly contains the output
+            // grid (23), so the wrap-free regions are exercised.
+            (13, 5, 32, false),
+            // The serve-d64 shape, on the row-parallel pool path.
+            (64, 14, 128, true),
+        ];
+        for (i, (d, b_hat, n, parallel)) in shapes.into_iter().enumerate() {
+            let kernel = DiscreteKernel::dam(2.5, d, b_hat, KernelKind::Shrunken);
+            let fftc = FftChannel::new(&kernel);
+            assert_eq!(fftc.padded_n(), n, "d {d}, b̂ {b_hat}");
+            assert_eq!(fftc.fft.is_parallel(), parallel, "d {d}, b̂ {b_hat}");
+            assert_fft_matches_stencil(&kernel, 11 + i as u64);
+        }
+        // A second kernel family on the odd shape.
+        assert_fft_matches_stencil(&DiscreteKernel::huem(1.5, 13, 5), 21);
+    }
+
+    #[test]
     fn fft_channel_handles_degenerate_zero_radius() {
+        // b̂ = 0: no dilation, a single-cell stencil.
         let kernel = DiscreteKernel::dam(5.0, 7, 0, KernelKind::Shrunken);
-        let conv = ConvChannel::new(&kernel);
         let fftc = FftChannel::new(&kernel);
         assert_eq!(fftc.n_out(), fftc.n_in(), "no dilation at b̂ = 0");
-        let mut ws = EmWorkspace::new();
-        let f = random_f(conv.n_in(), 5);
-        let mut a = vec![0.0; conv.n_out()];
-        let mut b = vec![0.0; conv.n_out()];
-        conv.apply(&f, &mut a, &mut ws);
-        fftc.apply(&f, &mut b, &mut ws);
-        for o in 0..conv.n_out() {
-            assert!((a[o] - b[o]).abs() < 1e-12, "output {o}");
-        }
+        assert_eq!(fftc.padded_n(), 8);
+        assert_fft_matches_stencil(&kernel, 5);
     }
 
     #[test]

@@ -1,16 +1,21 @@
-//! In-repo iterative real 2-D FFT — the engine behind the spectral EM
-//! backend ([`crate::conv::FftChannel`]).
+//! In-repo iterative real 2-D FFT, fused into one circular convolution
+//! per EM primitive — the engine behind the spectral EM backend
+//! ([`crate::conv::FftChannel`]).
 //!
 //! # Algorithm
 //!
 //! [`Fft2d`] is a fixed-size plan for power-of-two side `n`: twiddle and
 //! bit-reversal tables are computed once at construction and shared by
-//! every transform, so per-call work is pure butterflies. The complex 1-D
+//! every call, so per-call work is pure butterflies. The complex 1-D
 //! kernel is an in-place iterative radix-2 Cooley–Tukey
 //! (decimation-in-time: bit-reverse permute, then `log₂ n` butterfly
-//! stages); complex values are stored interleaved (`re, im`) in plain
-//! `&[f64]` buffers so callers can park scratch in an
-//! [`dam_fo::em::EmWorkspace`] without a dedicated complex type.
+//! stages). Complex values are `[f64; 2]` (`[re, im]`); callers keep
+//! their scratch as plain `f64` planes (an [`dam_fo::em::EmWorkspace`])
+//! and the plan views them with `as_chunks_mut::<2>()`. Each stage reads
+//! its twiddles from a flat per-stage table (forward and conjugated
+//! inverse tables are both precomputed), so the butterfly loop is a
+//! plain zip over `lo`/`hi` halves with no direction branch and no index
+//! arithmetic.
 //!
 //! # Why a *real* FFT halves the work
 //!
@@ -21,9 +26,31 @@
 //! (`z[j] = x[2j] + i·x[2j+1]`) plus an O(n) untangling step — half the
 //! butterflies of a padded complex transform. Second, only the
 //! `n/2 + 1` non-redundant row frequencies are kept, so the column pass
-//! runs `n/2 + 1` length-`n` transforms instead of `n`. Together the 2-D
-//! transform does half the complex-FFT work, and the spectra it trades in
-//! are half-size, which also halves the per-iteration multiply cost.
+//! runs `n/2 + 1` length-`n` transforms instead of `n`.
+//!
+//! # One fused convolution, three sweeps
+//!
+//! The EM primitives never need a spectrum for its own sake: each one is
+//! "transform, multiply by the cached kernel spectrum, transform back,
+//! read a corner". [`Fft2d::convolve`] does exactly that in three sweeps
+//! over two scratch planes:
+//!
+//! 1. **Row FFTs, pruned to the rows that hold data.** The source is a
+//!    `src_d`-wide field zero-padded onto the `n × n` grid; only its
+//!    rows (`d` for the E-step, `d + 2b̂` for the adjoint) are
+//!    transformed. Every padding row has the same spectrum — the real FFT
+//!    of a zero row — which the plan computes once and the column sweep
+//!    copies in.
+//! 2. **One column sweep, in place per column:** forward FFT → product
+//!    with the kernel spectrum (conjugated for the adjoint: correlation
+//!    theorem) → inverse FFT. The row spectra are stored row-major
+//!    (`rows × (n/2 + 1)`) and the column planes transposed
+//!    (`(n/2 + 1) × n`), so the column gather and the inverse-row gather
+//!    are the only strided accesses.
+//! 3. **Inverse row FFTs over only the rows read back** (`d + 2b̂` for the
+//!    E-step, `d` for the adjoint). The inverses are unscaled; the caller
+//!    multiplies by [`Fft2d::scale`] (`2/n²`) while it reads the rows out,
+//!    so there is no separate scale pass.
 //!
 //! # Padding scheme
 //!
@@ -33,108 +60,141 @@
 //! evaluated through the conjugate spectrum); in both cases the linear
 //! support fits inside the padded period, so the circular wrap never
 //! contaminates the cells that are read back — equivalence with the
-//! dense operator is exact up to roundoff (tested to ≤ 1e-9).
+//! stencil operator is exact up to roundoff (tested to ≤ 1e-12).
+//!
+//! # Why the result is bit-identical to a forward/inverse pair
+//!
+//! The fused path performs, per output value, the same floating-point
+//! operations in the same order as a full forward 2-D transform, a
+//! separate spectrum product, a full inverse and a scale pass would:
+//! the radix-2 DIT stage order and the twiddle values are unchanged
+//! (the per-stage tables are gathered from the same `e^{-2πik/n}` values
+//! and the inverse table is their exact negated-imaginary copy), a
+//! pruned padding row contributes the bit-exact spectrum a transformed
+//! zero row would, and the skipped output rows are never read. Fusing
+//! and pruning only remove passes and rows whose results were discarded.
 //!
 //! # Parallelism and determinism
 //!
-//! All 2-D passes are row-parallel on the persistent worker pool
+//! All three sweeps are row-parallel on the persistent worker pool
 //! (`rayon::par_chunks_mut`), gated on [`crate::tuning`]'s measured
-//! work threshold. Each row's arithmetic is independent of which worker
-//! runs it and of the thread count, so transforms are **bit-identical
-//! for any `--threads` value** (asserted by the determinism suite).
+//! work threshold: serial through n = 64, parallel from n = 128 up. On a
+//! 2-vCPU host a serial n = 128 EM publishes faster (d = 64, b̂ = 14:
+//! 46 ms against 59 ms per epoch in the pipeline benchmark's `serve-d64`
+//! workload), but it leaves the second vCPU idle during a publish that
+//! is mostly EM, and the queries served beside ingest then run slower
+//! (call-to-return p50 1.3–1.4 µs → 1.5–1.7 µs, p99 4.3–4.5 µs →
+//! 5.0–6.6 µs). Query latency is the service's user-facing number, so
+//! the gate stays where it is. Each row's and column's arithmetic is independent of which worker runs
+//! it and of the thread count, so results are **bit-identical for any
+//! `--threads` value** (asserted by the determinism suite).
 
 use crate::tuning::{next_pow2, PARALLEL_WORK_THRESHOLD};
 use rayon::prelude::*;
 
+/// One complex value, `[re, im]`.
+type C64 = [f64; 2];
+
 /// Precomputed tables for one in-place complex FFT size.
 #[derive(Debug, Clone)]
 struct CfftPlan {
-    /// Transform length (number of complex samples); power of two.
-    n: usize,
-    /// Bit-reversal permutation, `rev[i] < n`.
-    rev: Vec<u32>,
-    /// Forward twiddles `e^{-2πik/n}` for `k ∈ [0, n/2)`, interleaved.
-    tw: Vec<f64>,
+    /// Bit-reversal transpositions `(i, rev(i))` with `i < rev(i)`.
+    swaps: Vec<(u32, u32)>,
+    /// Forward twiddles stage by stage: the stage with half-length `h`
+    /// reads `fwd[h - 1..2h - 1]`, i.e. `e^{-2πi·j/(2h)}` for `j < h`.
+    fwd: Vec<C64>,
+    /// Conjugates of `fwd` (the unscaled inverse transform).
+    inv: Vec<C64>,
 }
 
 impl CfftPlan {
     fn new(n: usize) -> Self {
         debug_assert!(n.is_power_of_two());
         let bits = n.trailing_zeros();
-        let rev = (0..n as u32)
-            .map(|i| if bits == 0 { 0 } else { i.reverse_bits() >> (32 - bits) })
+        let swaps = (0..n as u32)
+            .map(|i| (i, if bits == 0 { 0 } else { i.reverse_bits() >> (32 - bits) }))
+            .filter(|&(i, j)| i < j)
             .collect();
-        let mut tw = Vec::with_capacity(n.max(2));
-        for k in 0..(n / 2).max(1) {
-            let angle = -2.0 * std::f64::consts::PI * k as f64 / n as f64;
-            tw.push(angle.cos());
-            tw.push(angle.sin());
+        let tw: Vec<C64> = (0..n / 2)
+            .map(|k| {
+                let angle = -2.0 * std::f64::consts::PI * k as f64 / n as f64;
+                [angle.cos(), angle.sin()]
+            })
+            .collect();
+        let mut fwd = Vec::with_capacity(n.saturating_sub(1));
+        let mut half = 1;
+        while half < n {
+            let step = n / (2 * half);
+            fwd.extend((0..half).map(|j| tw[j * step]));
+            half *= 2;
         }
-        Self { n, rev, tw }
+        let inv = fwd.iter().map(|&[re, im]| [re, -im]).collect();
+        Self { swaps, fwd, inv }
     }
 
-    /// In-place complex FFT of `data` (`2n` floats, interleaved).
-    /// `inverse` conjugates the twiddles but does **not** scale — callers
-    /// fold the `1/n` factors into their final pass exactly once.
-    fn transform(&self, data: &mut [f64], inverse: bool) {
-        let n = self.n;
-        debug_assert_eq!(data.len(), 2 * n);
-        for i in 0..n {
-            let j = self.rev[i] as usize;
-            if i < j {
-                data.swap(2 * i, 2 * j);
-                data.swap(2 * i + 1, 2 * j + 1);
-            }
+    /// In-place forward complex FFT.
+    fn forward(&self, data: &mut [C64]) {
+        self.transform(data, &self.fwd);
+    }
+
+    /// In-place inverse complex FFT, **unscaled** — callers fold the
+    /// `1/n` factors into their readout exactly once.
+    fn inverse(&self, data: &mut [C64]) {
+        self.transform(data, &self.inv);
+    }
+
+    fn transform(&self, data: &mut [C64], tw: &[C64]) {
+        for &(i, j) in &self.swaps {
+            data.swap(i as usize, j as usize);
         }
-        let mut len = 2;
-        while len <= n {
-            let half = len / 2;
-            let step = n / len;
-            for start in (0..n).step_by(len) {
-                for j in 0..half {
-                    let (wr, wi) = {
-                        let k = 2 * j * step;
-                        let (re, im) = (self.tw[k], self.tw[k + 1]);
-                        if inverse {
-                            (re, -im)
-                        } else {
-                            (re, im)
-                        }
-                    };
-                    let a = 2 * (start + j);
-                    let b = 2 * (start + j + half);
-                    let (br, bi) = (data[b], data[b + 1]);
-                    let tr = wr * br - wi * bi;
-                    let ti = wr * bi + wi * br;
-                    data[b] = data[a] - tr;
-                    data[b + 1] = data[a + 1] - ti;
-                    data[a] += tr;
-                    data[a + 1] += ti;
+        let mut half = 1;
+        while half < data.len() {
+            let stage = &tw[half - 1..2 * half - 1];
+            for block in data.chunks_exact_mut(2 * half) {
+                let (lo, hi) = block.split_at_mut(half);
+                for ((a, b), w) in lo.iter_mut().zip(hi.iter_mut()).zip(stage) {
+                    let tr = w[0] * b[0] - w[1] * b[1];
+                    let ti = w[0] * b[1] + w[1] * b[0];
+                    *b = [a[0] - tr, a[1] - ti];
+                    *a = [a[0] + tr, a[1] + ti];
                 }
             }
-            len <<= 1;
+            half *= 2;
         }
     }
 }
 
-/// A reusable plan for real 2-D FFTs on an `n × n` power-of-two grid.
+/// Which kernel-spectrum product [`Fft2d::convolve`] applies between the
+/// forward and inverse column transforms.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Product {
+    /// `S ⊙ K`: circular convolution with the kernel (the E-step).
+    Convolve,
+    /// `S ⊙ conj(K)`: circular correlation with the kernel (the
+    /// adjoint's M-step direction).
+    Correlate,
+}
+
+/// A reusable plan for real 2-D FFTs and fused circular convolutions on
+/// an `n × n` power-of-two grid.
 ///
 /// Spectra use the *transposed half-spectrum* layout: `half + 1` rows
-/// (row-frequency index `kx ∈ [0, n/2]`), each holding `n` interleaved
-/// complex values over the column-frequency index. The transposition is
-/// what lets every pass — row transforms, column transforms, and the
-/// gather/scatter between them — run as contiguous row-parallel sweeps.
+/// (row-frequency index `kx ∈ [0, n/2]`), each holding `n` complex
+/// values over the column-frequency index, so every column transform is
+/// a contiguous slice.
 #[derive(Debug, Clone)]
 pub struct Fft2d {
     n: usize,
     half: usize,
     /// Column-pass complex FFT (size `n`).
-    full: CfftPlan,
+    cols: CfftPlan,
     /// Row-pass complex FFT (size `n/2`, the real-FFT split).
-    halfplan: CfftPlan,
-    /// Untangle twiddles `e^{-2πik/n}` for `k ∈ [0, n/2]`, interleaved.
-    unt: Vec<f64>,
-    /// Row-parallel passes only when a sweep clears the measured
+    rows: CfftPlan,
+    /// Untangle twiddles `e^{-2πik/n}` for `k ∈ [0, n/2]`.
+    unt: Vec<C64>,
+    /// Real FFT of an all-zero row: the spectrum of every padding row.
+    zero_row: Vec<C64>,
+    /// Row-parallel sweeps only when a sweep clears the measured
     /// pool-handoff threshold.
     parallel: bool,
 }
@@ -145,19 +205,31 @@ impl Fft2d {
     pub fn new(min_side: usize) -> Self {
         let n = next_pow2(min_side);
         let half = n / 2;
-        let mut unt = Vec::with_capacity(2 * (half + 1));
-        for k in 0..=half {
-            let angle = -2.0 * std::f64::consts::PI * k as f64 / n as f64;
-            unt.push(angle.cos());
-            unt.push(angle.sin());
-        }
+        let unt = (0..=half)
+            .map(|k| {
+                let angle = -2.0 * std::f64::consts::PI * k as f64 / n as f64;
+                [angle.cos(), angle.sin()]
+            })
+            .collect();
         // Gate on the *calibrated* per-primitive cost in stencil-MAC
         // units (butterflies are ~4× a contiguous MAC), so the FFT
         // engages the pool at exactly the work level the stencil does:
         // serial through n = 64, parallel from n = 128 up — the whole
         // regime `EmBackend::Auto` routes here.
         let parallel = crate::tuning::fft_equivalent_flops(n) >= PARALLEL_WORK_THRESHOLD;
-        Self { n, half, full: CfftPlan::new(n), halfplan: CfftPlan::new(half), unt, parallel }
+        let mut plan = Self {
+            n,
+            half,
+            cols: CfftPlan::new(n),
+            rows: CfftPlan::new(half),
+            unt,
+            zero_row: Vec::new(),
+            parallel,
+        };
+        let mut zero_row = vec![[0.0; 2]; half + 1];
+        plan.rfft_row(&[], &mut zero_row);
+        plan.zero_row = zero_row;
+        plan
     }
 
     /// Padded grid side.
@@ -166,24 +238,18 @@ impl Fft2d {
         self.n
     }
 
-    /// Whether 2-D passes hand rows to the persistent worker pool
-    /// (transform results are bit-identical either way; exposed so tests
-    /// can pin which path they exercise).
+    /// Whether the sweeps hand rows to the persistent worker pool
+    /// (results are bit-identical either way; exposed so tests can pin
+    /// which path they exercise).
     #[inline]
     pub fn is_parallel(&self) -> bool {
         self.parallel
     }
 
-    /// Floats in a real `n × n` buffer.
-    #[inline]
-    pub fn real_len(&self) -> usize {
-        self.n * self.n
-    }
-
-    /// Floats in the intermediate row-spectrum buffer
+    /// Floats in the row-spectrum scratch plane of [`Self::convolve`]
     /// (`n` rows × `half + 1` complex).
     #[inline]
-    pub fn rowspec_len(&self) -> usize {
+    pub fn scratch_len(&self) -> usize {
         self.n * (self.half + 1) * 2
     }
 
@@ -194,168 +260,191 @@ impl Fft2d {
         (self.half + 1) * self.n * 2
     }
 
-    /// Applies `f(row_index, row)` to every `row_len`-chunk of `buf`,
-    /// in parallel when the plan is large enough to pay for it.
-    fn rows(&self, buf: &mut [f64], row_len: usize, f: impl Fn(usize, &mut [f64]) + Sync) {
+    /// Factor the unscaled rows of [`Self::convolve`] carry: the column
+    /// and row inverses leave `n·(n/2)`, so readouts multiply by `2/n²`.
+    #[inline]
+    pub fn scale(&self) -> f64 {
+        2.0 / (self.n * self.n) as f64
+    }
+
+    /// Applies `f(index, chunk)` to every `chunk_len`-chunk of `buf`, in
+    /// parallel when the plan is large enough to pay for it.
+    fn sweep(&self, buf: &mut [C64], chunk_len: usize, f: impl Fn(usize, &mut [C64]) + Sync) {
         if self.parallel {
-            buf.par_chunks_mut(row_len).enumerate().for_each(|(i, row)| f(i, row));
+            buf.par_chunks_mut(chunk_len).enumerate().for_each(|(i, chunk)| f(i, chunk));
         } else {
-            for (i, row) in buf.chunks_mut(row_len).enumerate() {
-                f(i, row);
+            for (i, chunk) in buf.chunks_mut(chunk_len).enumerate() {
+                f(i, chunk);
             }
         }
     }
 
-    /// Real FFT of one length-`n` row: `src` holds `n` reals, `dst`
-    /// receives `half + 1` interleaved complex frequencies.
-    fn rfft_row(&self, src: &[f64], dst: &mut [f64]) {
+    /// Real FFT of one row: `src` holds at most `n` reals (the rest of
+    /// the row is zero padding); `dst` receives `half + 1` frequencies.
+    fn rfft_row(&self, src: &[f64], dst: &mut [C64]) {
         let (n, h) = (self.n, self.half);
-        debug_assert_eq!(src.len(), n);
-        debug_assert_eq!(dst.len(), 2 * (h + 1));
-        // Even/odd interleave is exactly the memory layout of `src`
-        // reinterpreted as h complex numbers.
-        dst[..n].copy_from_slice(src);
-        self.halfplan.transform(&mut dst[..n], false);
+        debug_assert!(src.len() <= n);
+        debug_assert_eq!(dst.len(), h + 1);
+        // Even/odd interleave is exactly the memory layout of the padded
+        // row reinterpreted as h complex numbers.
+        let flat = dst.as_flattened_mut();
+        flat[..src.len()].copy_from_slice(src);
+        flat[src.len()..n].fill(0.0);
+        self.rows.forward(&mut dst[..h]);
         // Untangle Z (length h) into the real spectrum X (length h + 1):
         // X[k] = A - i·w·B with A = (Z[k] + conj(Z[h-k]))/2,
         // B = (Z[k] - conj(Z[h-k]))/2, w = e^{-2πik/n}; Z[h] ≡ Z[0].
-        let (z0r, z0i) = (dst[0], dst[1]);
-        dst[0] = z0r + z0i;
-        dst[1] = 0.0;
-        dst[2 * h] = z0r - z0i;
-        dst[2 * h + 1] = 0.0;
-        let mut k = 1;
-        while 2 * k <= h {
+        let [z0r, z0i] = dst[0];
+        dst[0] = [z0r + z0i, 0.0];
+        dst[h] = [z0r - z0i, 0.0];
+        for k in 1..=h / 2 {
             let j = h - k;
-            let (zkr, zki) = (dst[2 * k], dst[2 * k + 1]);
-            let (zjr, zji) = (dst[2 * j], dst[2 * j + 1]);
+            let ([zkr, zki], [zjr, zji]) = (dst[k], dst[j]);
             let (ar, ai) = ((zkr + zjr) / 2.0, (zki - zji) / 2.0);
             let (br, bi) = ((zkr - zjr) / 2.0, (zki + zji) / 2.0);
-            let (wr, wi) = (self.unt[2 * k], self.unt[2 * k + 1]);
-            // -i·w·B = (wi·br + wr·bi) - i·... expanded directly:
+            let [wr, wi] = self.unt[k];
             let (twr, twi) = (wr * br - wi * bi, wr * bi + wi * br);
-            dst[2 * k] = ar + twi;
-            dst[2 * k + 1] = ai - twr;
+            dst[k] = [ar + twi, ai - twr];
             // X[h-k] follows from the same pair with conjugated roles.
             let (wjr, wji) = (-wr, wi); // w' = e^{-2πi(h-k)/n} = -conj(w)
             let (bjr, bji) = (-br, bi); // B' = -conj(B)
             let (tjr, tji) = (wjr * bjr - wji * bji, wjr * bji + wji * bjr);
-            dst[2 * j] = ar + tji;
-            dst[2 * j + 1] = -ai - tjr;
-            k += 1;
+            dst[j] = [ar + tji, -ai - tjr];
         }
     }
 
     /// Inverse of [`Self::rfft_row`], in place and unscaled by design:
-    /// `row` holds `half + 1` interleaved complex frequencies on entry;
-    /// on return `row[..n]` holds the `n` reals carrying an extra factor
-    /// `n/2` (callers fold the scale into their final copy).
-    fn irfft_row_unscaled(&self, row: &mut [f64]) {
-        let (n, h) = (self.n, self.half);
-        debug_assert_eq!(row.len(), 2 * (h + 1));
+    /// `row` holds `half + 1` frequencies on entry; on return
+    /// `row[..half]`, read as `n` floats, holds the real row carrying an
+    /// extra factor `n/2`.
+    fn irfft_row_unscaled(&self, row: &mut [C64]) {
+        let h = self.half;
+        debug_assert_eq!(row.len(), h + 1);
         // Retangle X (length h + 1) back into Z (length h), inverting the
         // forward split: with A = (X[k] + conj(X[h-k]))/2 and
         // D = (X[k] - conj(X[h-k]))/2,
         //   Z[k]   = A + i·conj(w)·D          (w = e^{-2πik/n}),
         //   Z[h-k] = conj(A) - conj(i·conj(w)·D).
-        let (x0r, x0i) = (row[0], row[1]);
-        let (xhr, xhi) = (row[2 * h], row[2 * h + 1]);
+        let ([x0r, x0i], [xhr, xhi]) = (row[0], row[h]);
         // k = 0: w = 1, so Z[0] = A + i·D directly.
         let (ar, ai) = ((x0r + xhr) / 2.0, (x0i - xhi) / 2.0);
         let (dr, di) = ((x0r - xhr) / 2.0, (x0i + xhi) / 2.0);
-        row[0] = ar - di;
-        row[1] = ai + dr;
-        let mut k = 1;
-        while 2 * k <= h {
+        row[0] = [ar - di, ai + dr];
+        for k in 1..=h / 2 {
             let j = h - k;
-            let (xkr, xki) = (row[2 * k], row[2 * k + 1]);
-            let (xjr, xji) = (row[2 * j], row[2 * j + 1]);
+            let ([xkr, xki], [xjr, xji]) = (row[k], row[j]);
             let (ar, ai) = ((xkr + xjr) / 2.0, (xki - xji) / 2.0);
             let (dr, di) = ((xkr - xjr) / 2.0, (xki + xji) / 2.0);
-            let (wr, wi) = (self.unt[2 * k], self.unt[2 * k + 1]);
+            let [wr, wi] = self.unt[k];
             // c = conj(w)·D; then i·c = (-c.im, c.re).
             let (cr, ci) = (wr * dr + wi * di, wr * di - wi * dr);
-            row[2 * k] = ar - ci;
-            row[2 * k + 1] = ai + cr;
+            row[k] = [ar - ci, ai + cr];
             if j != k {
-                row[2 * j] = ar + ci;
-                row[2 * j + 1] = cr - ai;
+                row[j] = [ar + ci, cr - ai];
             }
-            k += 1;
         }
-        self.halfplan.transform(&mut row[..n], true);
+        self.rows.inverse(&mut row[..h]);
     }
 
-    /// Forward real 2-D FFT: `src` (`n²` reals, row-major) →
-    /// transposed half-spectrum `spec`. `rowspec` is scratch.
-    pub fn forward(&self, src: &[f64], rowspec: &mut [f64], spec: &mut [f64]) {
-        let (n, h) = (self.n, self.half);
-        debug_assert_eq!(src.len(), self.real_len());
-        debug_assert_eq!(rowspec.len(), self.rowspec_len());
-        debug_assert_eq!(spec.len(), self.spectrum_len());
-        let rw = 2 * (h + 1);
-        self.rows(rowspec, rw, |y, dst| self.rfft_row(&src[y * n..(y + 1) * n], dst));
+    /// Sweeps 1 and 2: row FFTs of the `src_d`-wide field `src` (its
+    /// rows only) into `rowspec`, then one column sweep that forward-
+    /// transforms every column of `spec` and hands it to `then`.
+    fn forward_then(
+        &self,
+        src: &[f64],
+        src_d: usize,
+        rowspec: &mut [C64],
+        spec: &mut [C64],
+        then: impl Fn(usize, &mut [C64]) + Sync,
+    ) {
+        let (n, h1) = (self.n, self.half + 1);
+        let rows_in = src.len() / src_d;
+        debug_assert!(src_d <= n && rows_in <= n && src.len() == rows_in * src_d);
+        let rowspec = &mut rowspec[..rows_in * h1];
+        self.sweep(rowspec, h1, |y, row| self.rfft_row(&src[y * src_d..(y + 1) * src_d], row));
         let rowspec = &*rowspec;
-        self.rows(spec, 2 * n, |kx, col| {
-            for y in 0..n {
-                col[2 * y] = rowspec[y * rw + 2 * kx];
-                col[2 * y + 1] = rowspec[y * rw + 2 * kx + 1];
+        self.sweep(spec, n, |kx, col| {
+            let (data, padding) = col.split_at_mut(rows_in);
+            for (c, row) in data.iter_mut().zip(rowspec.chunks_exact(h1)) {
+                *c = row[kx];
             }
-            self.full.transform(col, false);
+            padding.fill(self.zero_row[kx]);
+            self.cols.forward(col);
+            then(kx, col);
         });
     }
 
-    /// Inverse of [`Self::forward`]: transposed half-spectrum `spec`
-    /// (destroyed) → `dst` (`n²` reals). `rowspec` is scratch.
-    pub fn inverse(&self, spec: &mut [f64], rowspec: &mut [f64], dst: &mut [f64]) {
-        let (n, h) = (self.n, self.half);
+    /// Forward real 2-D FFT of the `src_d`-wide field `src`, zero-padded
+    /// onto the `n × n` grid: returns its transposed half-spectrum
+    /// (`(half + 1) · n` complex values). Allocates its scratch; meant
+    /// for one-off transforms such as a kernel at channel construction.
+    pub fn spectrum(&self, src: &[f64], src_d: usize) -> Vec<[f64; 2]> {
+        let mut rowspec = vec![[0.0; 2]; self.scratch_len() / 2];
+        let mut spec = vec![[0.0; 2]; self.spectrum_len() / 2];
+        self.forward_then(src, src_d, &mut rowspec, &mut spec, |_, _| {});
+        spec
+    }
+
+    /// Fused circular convolution (or correlation) of the `src_d`-wide
+    /// field `src`, zero-padded onto the `n × n` grid, with the kernel
+    /// whose [`Self::spectrum`] is `kspec`.
+    ///
+    /// Returns the first `rows_out` rows of the circular result, each
+    /// `n` reals long and **unscaled**: multiply by [`Self::scale`] while
+    /// reading them out. The two scratch planes — `scratch`
+    /// ([`Self::scratch_len`] floats) and `spec` ([`Self::spectrum_len`]
+    /// floats) — are overwritten; the rows borrow `scratch`.
+    pub fn convolve<'s>(
+        &self,
+        src: &[f64],
+        src_d: usize,
+        kspec: &[[f64; 2]],
+        product: Product,
+        rows_out: usize,
+        [scratch, spec]: [&'s mut [f64]; 2],
+    ) -> impl Iterator<Item = &'s [f64]> + 's {
+        let (n, h1) = (self.n, self.half + 1);
+        debug_assert_eq!(scratch.len(), self.scratch_len());
         debug_assert_eq!(spec.len(), self.spectrum_len());
-        debug_assert_eq!(rowspec.len(), self.rowspec_len());
-        debug_assert_eq!(dst.len(), self.real_len());
-        let rw = 2 * (h + 1);
-        self.rows(spec, 2 * n, |_, col| self.full.transform(col, true));
-        let spec_r = &*spec;
-        // Gather each row's half-spectrum back, retangle, and invert the
-        // row transform — all inside one contiguous parallel sweep. The
-        // row inverse is in place, so `rowspec[y][..n]` ends up holding
-        // the (still unscaled) real row.
-        self.rows(rowspec, rw, |y, row| {
-            for kx in 0..=h {
-                row[2 * kx] = spec_r[kx * 2 * n + 2 * y];
-                row[2 * kx + 1] = spec_r[kx * 2 * n + 2 * y + 1];
+        debug_assert_eq!(kspec.len(), h1 * n);
+        debug_assert!(rows_out <= n);
+        let mul: fn(&mut [C64], &[C64]) = match product {
+            Product::Convolve => spectrum_mul,
+            Product::Correlate => spectrum_mul_conj,
+        };
+        let rowspec = scratch.as_chunks_mut::<2>().0;
+        let spec = spec.as_chunks_mut::<2>().0;
+        self.forward_then(src, src_d, rowspec, spec, |kx, col| {
+            mul(col, &kspec[kx * n..(kx + 1) * n]);
+            self.cols.inverse(col);
+        });
+        // Sweep 3: gather each read-back row's half-spectrum and invert
+        // the row transform in place.
+        let spec = &*spec;
+        self.sweep(&mut rowspec[..rows_out * h1], h1, |y, row| {
+            for (x, col) in row.iter_mut().zip(spec.chunks_exact(n)) {
+                *x = col[y];
             }
             self.irfft_row_unscaled(row);
         });
-        // Unscaled column + row inverses leave a factor n·(n/2).
-        let scale = 2.0 / (n * n) as f64;
-        let rowspec_r = &*rowspec;
-        self.rows(dst, n, |y, out_row| {
-            for (o, &v) in out_row.iter_mut().zip(&rowspec_r[y * rw..y * rw + n]) {
-                *o = v * scale;
-            }
-        });
+        scratch[..rows_out * 2 * h1].chunks_exact(2 * h1).map(move |row| &row[..n])
     }
 }
 
-/// Pointwise half-spectrum product `a ⊙ b` into `a` (convolution
+/// Pointwise spectrum product `a ⊙ b` into `a` (convolution theorem).
+fn spectrum_mul(a: &mut [C64], b: &[C64]) {
+    for (pa, pb) in a.iter_mut().zip(b) {
+        let [ar, ai] = *pa;
+        *pa = [ar * pb[0] - ai * pb[1], ar * pb[1] + ai * pb[0]];
+    }
+}
+
+/// Pointwise spectrum product `a ⊙ conj(b)` into `a` (correlation
 /// theorem).
-pub fn spectrum_mul(a: &mut [f64], b: &[f64]) {
-    debug_assert_eq!(a.len(), b.len());
-    for (pa, pb) in a.chunks_exact_mut(2).zip(b.chunks_exact(2)) {
-        let (ar, ai) = (pa[0], pa[1]);
-        pa[0] = ar * pb[0] - ai * pb[1];
-        pa[1] = ar * pb[1] + ai * pb[0];
-    }
-}
-
-/// Pointwise half-spectrum product `a ⊙ conj(b)` into `a` (correlation
-/// theorem — the adjoint's M-step direction).
-pub fn spectrum_mul_conj(a: &mut [f64], b: &[f64]) {
-    debug_assert_eq!(a.len(), b.len());
-    for (pa, pb) in a.chunks_exact_mut(2).zip(b.chunks_exact(2)) {
-        let (ar, ai) = (pa[0], pa[1]);
-        pa[0] = ar * pb[0] + ai * pb[1];
-        pa[1] = ai * pb[0] - ar * pb[1];
+fn spectrum_mul_conj(a: &mut [C64], b: &[C64]) {
+    for (pa, pb) in a.iter_mut().zip(b) {
+        let [ar, ai] = *pa;
+        *pa = [ar * pb[0] + ai * pb[1], ai * pb[0] - ar * pb[1]];
     }
 }
 
@@ -371,9 +460,9 @@ mod tests {
 
     /// Direct O(n⁴) 2-D DFT for cross-checking, returning the transposed
     /// half-spectrum layout.
-    fn dft2_reference(src: &[f64], n: usize) -> Vec<f64> {
+    fn dft2_reference(src: &[f64], n: usize) -> Vec<[f64; 2]> {
         let h = n / 2;
-        let mut spec = vec![0.0; (h + 1) * n * 2];
+        let mut spec = vec![[0.0; 2]; (h + 1) * n];
         for kx in 0..=h {
             for ky in 0..n {
                 let (mut re, mut im) = (0.0f64, 0.0f64);
@@ -386,18 +475,22 @@ mod tests {
                         im += src[y * n + x] * angle.sin();
                     }
                 }
-                spec[kx * 2 * n + 2 * ky] = re;
-                spec[kx * 2 * n + 2 * ky + 1] = im;
+                spec[kx * n + ky] = [re, im];
             }
         }
         spec
     }
 
-    fn run_forward(plan: &Fft2d, src: &[f64]) -> Vec<f64> {
-        let mut rowspec = vec![0.0; plan.rowspec_len()];
+    /// Runs the fused convolution of a full `n × n` grid and returns all
+    /// `n` rows, scaled.
+    fn run_convolve(plan: &Fft2d, src: &[f64], kspec: &[[f64; 2]], product: Product) -> Vec<f64> {
+        let n = plan.n();
+        let mut scratch = vec![0.0; plan.scratch_len()];
         let mut spec = vec![0.0; plan.spectrum_len()];
-        plan.forward(src, &mut rowspec, &mut spec);
-        spec
+        let scale = plan.scale();
+        plan.convolve(src, n, kspec, product, n, [&mut scratch, &mut spec])
+            .flat_map(|row| row.iter().map(move |&v| v * scale))
+            .collect()
     }
 
     #[test]
@@ -406,25 +499,54 @@ mod tests {
             let plan = Fft2d::new(n);
             assert_eq!(plan.n(), n);
             let src = random_grid(n, 7 + n as u64);
-            let spec = run_forward(&plan, &src);
+            let spec = plan.spectrum(&src, n);
             let want = dft2_reference(&src, n);
             for (i, (a, b)) in spec.iter().zip(&want).enumerate() {
-                assert!((a - b).abs() < 1e-9 * (n * n) as f64, "n {n} slot {i}: {a} vs {b}");
+                for c in 0..2 {
+                    assert!(
+                        (a[c] - b[c]).abs() < 1e-9 * (n * n) as f64,
+                        "n {n} slot {i}: {a:?} vs {b:?}"
+                    );
+                }
             }
         }
     }
 
     #[test]
+    fn pruned_spectrum_matches_direct_dft_of_padded_field() {
+        // A 5 × 3-row field on the 8 × 8 grid: the padding rows come from
+        // the cached zero-row spectrum, the padding columns from the
+        // row-pass zero fill.
+        let n = 8;
+        let plan = Fft2d::new(n);
+        let field = random_grid(5, 17);
+        let field = &field[..5 * 3];
+        let mut padded = vec![0.0; n * n];
+        for (y, row) in field.chunks_exact(5).enumerate() {
+            padded[y * n..y * n + 5].copy_from_slice(row);
+        }
+        let got = plan.spectrum(field, 5);
+        assert_eq!(got, plan.spectrum(&padded, n), "pruning must not move a bit");
+        for (i, (a, b)) in got.iter().zip(&dft2_reference(&padded, n)).enumerate() {
+            assert!((a[0] - b[0]).abs() < 1e-9 && (a[1] - b[1]).abs() < 1e-9, "slot {i}");
+        }
+    }
+
+    #[test]
     fn roundtrip_is_identity() {
-        for n in [2usize, 4, 8, 32, 64] {
+        // Forward and inverse through a unit-impulse kernel (an all-ones
+        // spectrum) must give the source back.
+        for n in [2usize, 4, 8, 32, 64, 128] {
             let plan = Fft2d::new(n);
+            let mut impulse = vec![0.0; n * n];
+            impulse[0] = 1.0;
+            let kspec = plan.spectrum(&impulse, n);
             let src = random_grid(n, 40 + n as u64);
-            let mut spec = run_forward(&plan, &src);
-            let mut rowspec = vec![0.0; plan.rowspec_len()];
-            let mut back = vec![0.0; plan.real_len()];
-            plan.inverse(&mut spec, &mut rowspec, &mut back);
-            for (i, (a, b)) in back.iter().zip(&src).enumerate() {
-                assert!((a - b).abs() < 1e-12, "n {n} cell {i}: {a} vs {b}");
+            for product in [Product::Convolve, Product::Correlate] {
+                let back = run_convolve(&plan, &src, &kspec, product);
+                for (i, (a, b)) in back.iter().zip(&src).enumerate() {
+                    assert!((a - b).abs() < 1e-12, "n {n} {product:?} cell {i}: {a} vs {b}");
+                }
             }
         }
     }
@@ -448,12 +570,7 @@ mod tests {
                 want[y * n + x] = s;
             }
         }
-        let mut sa = run_forward(&plan, &a);
-        let sb = run_forward(&plan, &b);
-        spectrum_mul(&mut sa, &sb);
-        let mut rowspec = vec![0.0; plan.rowspec_len()];
-        let mut got = vec![0.0; plan.real_len()];
-        plan.inverse(&mut sa, &mut rowspec, &mut got);
+        let got = run_convolve(&plan, &a, &plan.spectrum(&b, n), Product::Convolve);
         for i in 0..n * n {
             assert!((got[i] - want[i]).abs() < 1e-10, "cell {i}: {} vs {}", got[i], want[i]);
         }
@@ -478,15 +595,30 @@ mod tests {
                 want[ty * n + tx] = s;
             }
         }
-        let mut sw = run_forward(&plan, &w);
-        let sk = run_forward(&plan, &k);
-        spectrum_mul_conj(&mut sw, &sk);
-        let mut rowspec = vec![0.0; plan.rowspec_len()];
-        let mut got = vec![0.0; plan.real_len()];
-        plan.inverse(&mut sw, &mut rowspec, &mut got);
+        let got = run_convolve(&plan, &w, &plan.spectrum(&k, n), Product::Correlate);
         for i in 0..n * n {
             assert!((got[i] - want[i]).abs() < 1e-10, "cell {i}: {} vs {}", got[i], want[i]);
         }
+    }
+
+    #[test]
+    fn rows_out_prunes_without_changing_the_rows_kept() {
+        let n = 16;
+        let plan = Fft2d::new(n);
+        let src = random_grid(n, 9);
+        let kspec = plan.spectrum(&random_grid(n, 10), n);
+        let mut scratch = vec![0.0; plan.scratch_len()];
+        let mut spec = vec![0.0; plan.spectrum_len()];
+        let full: Vec<Vec<f64>> = plan
+            .convolve(&src, n, &kspec, Product::Convolve, n, [&mut scratch, &mut spec])
+            .map(<[f64]>::to_vec)
+            .collect();
+        let pruned: Vec<Vec<f64>> = plan
+            .convolve(&src, n, &kspec, Product::Convolve, 5, [&mut scratch, &mut spec])
+            .map(<[f64]>::to_vec)
+            .collect();
+        assert_eq!(pruned.len(), 5);
+        assert_eq!(pruned[..], full[..5]);
     }
 
     #[test]

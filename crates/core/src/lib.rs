@@ -27,8 +27,9 @@
 //!   matrix would not fit — the committed `BENCH_em.json` records the
 //!   exact baselines and the stencil↔FFT crossover;
 //! * [`fft`] — the in-repo iterative real 2-D FFT ([`fft::Fft2d`]):
-//!   precomputed twiddle/bit-reversal plans, row-parallel passes on the
-//!   persistent pool, bit-identical for any thread count;
+//!   precomputed per-stage twiddle and bit-reversal plans, one fused
+//!   row-pruned circular convolution per EM primitive, row-parallel
+//!   sweeps on the persistent pool, bit-identical for any thread count;
 //! * [`tuning`] — measured performance constants shared by the stencil,
 //!   FFT and sharding paths, including the cost model behind
 //!   [`em2d::EmBackend::Auto`];

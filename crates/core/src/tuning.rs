@@ -28,12 +28,22 @@ pub fn stencil_flops(out_d: usize, box_side: usize) -> usize {
 /// Effective per-iteration cost of the spectral operator
 /// ([`crate::conv::FftChannel`]) in stencil-MAC units.
 ///
-/// One EM primitive is a forward + inverse padded real 2-D FFT
-/// (≈ `2·n²·log₂ n` complex butterflies over the five row/column passes)
-/// plus the spectrum product and the pad/readout sweeps (≈ `3·n²`).
-/// A butterfly costs several times a contiguous stencil multiply-add
-/// (twiddle loads, strided gathers in the transpose passes), which the
-/// calibration factor absorbs.
+/// The model prices one EM primitive as a forward + inverse padded real
+/// 2-D FFT (≈ `2·n²·log₂ n` complex butterflies) plus the spectrum
+/// product and the pad/readout sweeps (≈ `3·n²`). A butterfly costs
+/// several times a contiguous stencil multiply-add (twiddle loads,
+/// strided gathers in the transpose passes), which the calibration
+/// factor absorbs.
+///
+/// The primitive is now one fused convolution in three sweeps that
+/// transforms only the rows holding data and inverts only the rows read
+/// back ([`crate::fft::Fft2d::convolve`]), so the model overprices it:
+/// at d = 64, b̂ = 14 (n = 128, 2 vCPUs) a fused EM iteration takes
+/// 38–44% less time than the forward/inverse pair measured here. `FFT_MAC_FACTOR` and the
+/// [`fft_beats_stencil`] crossover are **deliberately not recalibrated**:
+/// every (d, b̂) keeps the backend it had, so every estimate stays
+/// bit-identical. Re-deriving the crossover from a fresh radius sweep is
+/// a follow-up.
 ///
 /// Calibrated against `BENCH_em.json` (PR 3, d = 64 radius sweep,
 /// single-core substrate): measured conv/fft ns-per-EM ratios were

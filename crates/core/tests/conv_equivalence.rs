@@ -7,8 +7,8 @@
 //! Tolerances: the stencil ([`ConvChannel`]) walks the same floating-point
 //! order as the dense operator up to re-association, so it is held to
 //! ≤ 1e-12 per cell; the spectral operator ([`FftChannel`]) goes through
-//! a forward/inverse transform pair whose roundoff scales with the padded
-//! grid, so the three-way suite is held to ≤ 1e-9 (the bound the
+//! a fused forward/product/inverse spectral convolution whose roundoff
+//! scales with the padded grid, so the three-way suite is held to ≤ 1e-9 (the bound the
 //! large-radius regime is certified to).
 
 use dam_core::grid::KernelKind;

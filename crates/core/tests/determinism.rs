@@ -88,6 +88,40 @@ fn fft_backend_estimate_is_bit_identical_for_any_thread_count() {
     assert_eq!(bits(auto(Some(1)).values()), bits(auto(None).values()));
 }
 
+/// FNV-1a over the little-endian `to_bits` of every value: one u64 that
+/// changes if any estimate bit does.
+fn fnv1a_bits(values: &[f64]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in values {
+        for byte in v.to_bits().to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn fft_backend_estimate_bits_are_pinned() {
+    // Golden bits of the spectral backend, recorded before the fused
+    // convolution rewrite: any change to the FFT arithmetic (butterfly
+    // order, twiddle values, scale placement) moves these hashes. The
+    // shapes cover the pool path (d = 48, b̂ = 16 → n = 128) and the
+    // serial n = 32 transform (d = 20, b̂ = 4).
+    let em = dam_fo::em::EmParams { max_iters: 25, rel_tol: 0.0, gain_tol: 0.0 };
+    let cases: [(u32, u32, usize, u64); 2] =
+        [(48, 16, SHARD_SIZE + 777, 0x96cc_1dc0_fe60_e261), (20, 4, 20_000, 0x355f_aa0c_90f7_6208)];
+    for (d, b_hat, n_points, want) in cases {
+        let grid = Grid2D::new(BoundingBox::unit(), d);
+        let config =
+            DamConfig { b_hat: Some(b_hat), em, backend: EmBackend::Fft, ..DamConfig::dam(2.0) };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4321);
+        let est = DamEstimator::new(config).estimate(&span_points(n_points), &grid, &mut rng);
+        let got = fnv1a_bits(est.values());
+        assert_eq!(got, want, "d {d}, b̂ {b_hat}: estimate bits moved (hash {got:#018x})");
+    }
+}
+
 #[test]
 fn report_batch_matches_explicit_sequential_shard_loop() {
     let grid = Grid2D::new(BoundingBox::unit(), 5);

@@ -9,12 +9,15 @@
 //! summary lines are the acceptance check.
 //!
 //! Per epoch the table reports, at each query selectivity: the
-//! service's DAM-pyramid answers (`svc` — read from the atomically
-//! published snapshot, node-cover walk), the constrained oracle (`hio`),
-//! and the independent-levels ablation (`hio_raw`), each as mean
-//! relative error against the true sliding-window range fractions
+//! service's DAM-pyramid answers (`svc` — `QueryService::range` on the
+//! atomically published snapshot, node-cover walk), the constrained
+//! oracle (`hio`), and the independent-levels ablation (`hio_raw`), each
+//! as mean relative error against the true sliding-window range fractions
 //! (floored at 1e-3 to keep tiny truths from dominating). `epoch_q`
-//! counts the queries answered. Everything — stream, fits, workload — is
+//! counts the queries answered. Each range query also issues a point
+//! query at its corner and each selectivity one coarse heatmap, all
+//! through the instrumented service API, and the binary asserts that
+//! every exported query histogram holds one sample per query. Everything — stream, fits, workload — is
 //! deterministic in `--seed` and bit-identical for any `--threads`.
 
 use dam_core::{DamConfig, SamVariant};
@@ -119,8 +122,13 @@ fn main() {
             for q in &queries {
                 let truth = q.true_answer(&grid, &window_points);
                 let floor = truth.max(TRUTH_FLOOR);
-                let svc = snap.pyramid.range_sum(q.x0, q.y0, q.x1, q.y1);
+                let svc = service.range(q.x0, q.y0, q.x1, q.y1);
                 err[0] += (svc - truth).abs() / floor;
+                // A point query reads the snapshot's pyramid leaf, which
+                // is the published estimate's cell.
+                let cell = snap.estimate.values()[(q.y0 * D + q.x0) as usize];
+                let point = service.point(q.x0, q.y0);
+                assert!((point - cell).abs() < 1e-12, "point query {point} vs estimate {cell}");
                 err[1] += (oracle.answer(q) - truth).abs() / floor;
                 err[2] += (oracle.answer_independent(q) - truth).abs() / floor;
             }
@@ -129,6 +137,11 @@ fn main() {
                 *acc += e;
             }
             n_queries += queries.len();
+            // The coarse heatmap of a consistent pyramid carries the
+            // whole estimate's mass.
+            let heatmap = service.heatmap(D / 4).expect("d/4 is a dyadic pyramid level");
+            let mass: f64 = heatmap.iter().sum();
+            assert!((mass - 1.0).abs() < 1e-9, "heatmap mass {mass} must be 1");
             report.push_row(vec![
                 e.to_string(),
                 format!("{sel}"),
@@ -155,6 +168,20 @@ fn main() {
     );
     assert!(hio < raw, "constrained hierarchy ({hio:.4}) must beat independent levels ({raw:.4})");
     println!("{}", dam_eval::obs::health_footer("service", &service.health()));
+    // Every query went through the instrumented service API, so each
+    // exported query histogram holds exactly one sample per query.
+    let metrics = service.obs().snapshot();
+    let n_heatmaps = (epochs * SELECTIVITIES.len()) as u64;
+    for (name, want) in [
+        ("service_query_point_ns", n_queries as u64),
+        ("service_query_range_ns", n_queries as u64),
+        ("range_cover_nodes", n_queries as u64),
+        ("service_query_heatmap_ns", n_heatmaps),
+    ] {
+        let count =
+            metrics.histograms.iter().find(|(n, _, _)| n == name).map_or(0, |(_, _, h)| h.count);
+        assert_eq!(count, want, "exported histogram {name} must hold one sample per query");
+    }
     if let Some(path) = &args.metrics_out {
         dam_eval::obs::write_metrics(path, &[("service", service.obs())]).expect("write metrics");
         println!("metrics: {}", path.display());

@@ -22,7 +22,7 @@
 use crate::clock::{Clock, LogicalClock};
 use crate::export::{HistogramSnapshot, MetricsSnapshot, SpanAggregate};
 use crate::span::{LogicalStamp, SpanGuard};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -290,7 +290,8 @@ struct Instruments {
 
 struct Inner {
     enabled: AtomicBool,
-    clock: Mutex<Arc<dyn Clock>>,
+    /// Read on every timing-plane sample, written only by `set_clock`.
+    clock: RwLock<Arc<dyn Clock>>,
     instruments: Mutex<Instruments>,
     spans: Mutex<Vec<SpanSlot>>,
 }
@@ -319,7 +320,7 @@ impl Registry {
         Self {
             inner: Arc::new(Inner {
                 enabled: AtomicBool::new(true),
-                clock: Mutex::new(Arc::new(LogicalClock::new())),
+                clock: RwLock::new(Arc::new(LogicalClock::new())),
                 instruments: Mutex::new(Instruments::default()),
                 spans: Mutex::new(Vec::new()),
             }),
@@ -337,13 +338,14 @@ impl Registry {
     /// Installs a clock; subsequent [`Registry::now_ns`] readings and
     /// span durations use it.
     pub fn set_clock(&self, clock: Arc<dyn Clock>) {
-        *self.inner.clock.lock() = clock;
+        *self.inner.clock.write() = clock;
     }
 
-    /// The current clock reading (timing-plane inputs only).
+    /// The current clock reading (timing-plane inputs only). Reads
+    /// under a shared lock, so concurrent query threads never serialise
+    /// on the clock.
     pub fn now_ns(&self) -> u64 {
-        let clock = Arc::clone(&self.inner.clock.lock());
-        clock.now_ns()
+        self.inner.clock.read().now_ns()
     }
 
     /// Enables or disables span recording. Counters, gauges,

@@ -210,7 +210,12 @@ impl QueryService {
     /// the current snapshot was published. Also recorded into the
     /// `service_snapshot_age_ns` gauge.
     pub fn snapshot_age_ns(&self) -> u64 {
-        let age = self.obs.now_ns().saturating_sub(self.last_publish_ns.load(Ordering::Relaxed));
+        self.record_age_at(self.obs.now_ns())
+    }
+
+    /// Records the snapshot age as of the clock reading `now`.
+    fn record_age_at(&self, now: u64) -> u64 {
+        let age = now.saturating_sub(self.last_publish_ns.load(Ordering::Relaxed));
         self.so.snapshot_age_ns.set(age as f64);
         age
     }
@@ -232,8 +237,9 @@ impl QueryService {
         let snap = self.snapshot();
         let v = snap.pyramid.cell(ix, iy);
         self.so.queries_point.incr();
-        self.so.query_point_ns.record(self.obs.now_ns().saturating_sub(t0));
-        self.snapshot_age_ns();
+        let now = self.obs.now_ns();
+        self.so.query_point_ns.record(now.saturating_sub(t0));
+        self.record_age_at(now);
         v
     }
 
@@ -246,8 +252,9 @@ impl QueryService {
         let (v, nodes) = snap.pyramid.range_sum_counted(x0, y0, x1, y1);
         self.so.queries_range.incr();
         self.so.range_cover_nodes.record(nodes as u64);
-        self.so.query_range_ns.record(self.obs.now_ns().saturating_sub(t0));
-        self.snapshot_age_ns();
+        let now = self.obs.now_ns();
+        self.so.query_range_ns.record(now.saturating_sub(t0));
+        self.record_age_at(now);
         v
     }
 
@@ -260,8 +267,9 @@ impl QueryService {
         let snap = self.snapshot();
         let hm = snap.pyramid.level_for_side(side).map(|lv| lv.values().to_vec());
         self.so.queries_heatmap.incr();
-        self.so.query_heatmap_ns.record(self.obs.now_ns().saturating_sub(t0));
-        self.snapshot_age_ns();
+        let now = self.obs.now_ns();
+        self.so.query_heatmap_ns.record(now.saturating_sub(t0));
+        self.record_age_at(now);
         hm
     }
 
