@@ -10,7 +10,10 @@
 //! * **Checkpoint** — encode+write and read+decode of a full
 //!   window-depth checkpoint, plus the end-to-end recovery cost
 //!   (checkpoint restore + WAL replay + snapshot republish through the
-//!   warm EM chain).
+//!   warm EM chain);
+//! * **Long stream** — checkpoint bytes and recovery time at T = window
+//!   and T = 96 epochs: a checkpoint holds only the window's planes, so
+//!   both stay flat as the stream grows.
 //!
 //! Emits `BENCH_cluster.json` at the repo root so later PRs can regress
 //! against the recorded trajectory.
@@ -33,6 +36,8 @@ const WINDOW: usize = 6;
 const POINTS_PER_EPOCH: usize = 20_000;
 const NODE_COUNTS: [usize; 3] = [1, 4, 8];
 const PARTITION_SEED: u64 = 17;
+/// Stream length of the long-stream row (T ≫ window).
+const LONG_STREAM: usize = 96;
 
 /// Moving two-foci epoch (the fig_cluster scenario at bench scale).
 fn epoch_points(n: usize, epoch: usize) -> Vec<Point> {
@@ -57,9 +62,10 @@ fn stream_config() -> StreamConfig {
     StreamConfig::new(DamConfig::dam(EPS), WINDOW, 0xC105_0022)
 }
 
-/// Builds a store holding a real window-depth checkpoint plus one WAL
-/// entry past it — the recovery shape a mid-stream crash leaves behind.
-fn seeded_store(dir: &std::path::Path) -> CheckpointStore {
+/// Builds a store holding a real checkpoint at epoch `epochs` (a
+/// multiple of the window) plus one WAL entry past it — the recovery
+/// shape a mid-stream crash leaves behind.
+fn seeded_store(dir: &std::path::Path, epochs: usize) -> CheckpointStore {
     let _ = std::fs::remove_dir_all(dir);
     let store = CheckpointStore::new(dir).expect("scratch dir");
     let mut cluster = Cluster::with_store(
@@ -71,7 +77,7 @@ fn seeded_store(dir: &std::path::Path) -> CheckpointStore {
         WINDOW,
     )
     .expect("fresh store");
-    for e in 0..WINDOW + 1 {
+    for e in 0..epochs + 1 {
         cluster.ingest_epoch(&epoch_points(POINTS_PER_EPOCH, e)).expect("epoch");
     }
     store
@@ -176,7 +182,7 @@ fn bench_cluster(c: &mut Criterion) {
 
     // Checkpoint encode/write and read/decode over a real state.
     let dir = std::env::temp_dir().join(format!("dam-bench-cluster-{}", std::process::id()));
-    let store = seeded_store(&dir);
+    let store = seeded_store(&dir, WINDOW);
     let state = store.read_checkpoint().expect("read").expect("checkpoint written");
     {
         let write_dir = dir.join("write-scratch");
@@ -193,11 +199,26 @@ fn bench_cluster(c: &mut Criterion) {
     }
     let recover_ns = measure_recovery_ns(&store);
 
-    emit_bench_json(c, &state, recover_ns);
+    // The same recovery shape after a stream many windows long.
+    let long_dir = dir.join("long");
+    let long_store = seeded_store(&long_dir, LONG_STREAM);
+    let ckpt_bytes =
+        |s: &CheckpointStore| std::fs::metadata(s.checkpoint_path()).expect("checkpoint").len();
+    let long_stream = [
+        (WINDOW, ckpt_bytes(&store), recover_ns),
+        (LONG_STREAM, ckpt_bytes(&long_store), measure_recovery_ns(&long_store)),
+    ];
+
+    emit_bench_json(c, &state, recover_ns, &long_stream);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-fn emit_bench_json(c: &Criterion, state: &dam_cluster::CheckpointState, recover_ns: f64) {
+fn emit_bench_json(
+    c: &Criterion,
+    state: &dam_cluster::CheckpointState,
+    recover_ns: f64,
+    long_stream: &[(usize, u64, f64)],
+) {
     let median = |name: String| -> Option<f64> {
         c.results().iter().find(|(n, _)| n == &name).map(|&(_, ns)| ns)
     };
@@ -223,6 +244,13 @@ fn emit_bench_json(c: &Criterion, state: &dam_cluster::CheckpointState, recover_
         eprintln!("checkpoint results missing; not writing BENCH_cluster.json");
         return;
     };
+    let long_rows = long_stream
+        .iter()
+        .map(|(epochs, bytes, ns)| {
+            format!("    {{\"epochs\": {epochs}, \"checkpoint_bytes\": {bytes}, \"recover_ns\": {ns:.0}}}")
+        })
+        .collect::<Vec<_>>()
+        .join(",\n");
     let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
     let json = format!(
         "{{\n  \"bench\": \"cluster\",\n  \"d\": {D},\n  \"eps\": {EPS},\n  \
@@ -230,7 +258,8 @@ fn emit_bench_json(c: &Criterion, state: &dam_cluster::CheckpointState, recover_
          \"points_per_epoch\": {POINTS_PER_EPOCH},\n  \
          \"merge\": [\n{rows}  ],\n  \
          \"checkpoint\": {{\"planes\": {}, \"cells\": {}, \"write_ns\": {write:.0}, \
-         \"read_ns\": {read:.0}, \"recover_ns\": {recover_ns:.0}}}\n}}\n",
+         \"read_ns\": {read:.0}, \"recover_ns\": {recover_ns:.0}}},\n  \
+         \"long_stream\": [\n{long_rows}\n  ]\n}}\n",
         state.planes.len(),
         state.n_cells,
     );

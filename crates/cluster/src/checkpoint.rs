@@ -5,19 +5,24 @@
 //!
 //! Lifecycle: the coordinator appends one [`WalEntry`] per closed epoch
 //! and periodically writes a full [`CheckpointState`] (which truncates
-//! the WAL). Recovery reads the checkpoint, rebuilds the estimator's
-//! retained planes, then replays the WAL entries — re-running the
-//! window estimate for each so the EM warm chain, health counters, and
-//! published snapshots advance exactly as the uncrashed run's did.
-//! Because every rebuilt structure (epoch ring, count tree, merged
-//! planes) is whole-number `f64` arithmetic in a replay-identical order,
-//! the recovered coordinator's subsequent estimates are **bit-identical**
+//! the WAL). A checkpoint holds the epoch ring's window planes — at most
+//! `window` of them, however long the stream — so checkpoint size and
+//! recovery time are bounded by the window, not by the stream length.
+//! Recovery reads the checkpoint, refills the estimator's ring, then
+//! replays the WAL entries — re-running the window estimate for each so
+//! the EM warm chain, health counters, and published snapshots advance
+//! exactly as the uncrashed run's did. Because every rebuilt structure
+//! (epoch ring, merged planes) is whole-number `f64` arithmetic, the
+//! recovered coordinator's subsequent estimates are **bit-identical**
 //! to an uncrashed run — swept over every kill point by the recovery
 //! tests.
 //!
-//! Failure behaviour is structured, never a panic: wrong magic, a
-//! version this build does not speak, truncated files, and checksum
-//! mismatches each map to their own [`CheckpointError`] variant.
+//! Failure behaviour is structured, never a panic or an abort: wrong
+//! magic, a version this build does not speak, truncated files, and
+//! checksum mismatches each map to their own [`CheckpointError`]
+//! variant. Every length field is checked against the bytes left before
+//! anything is allocated from it, so a flipped bit cannot request a
+//! huge allocation.
 
 use std::fs;
 use std::io::Write as _;
@@ -31,8 +36,10 @@ use dam_stream::PipelineHealth;
 const CKPT_MAGIC: &[u8; 8] = b"DAMCKPT\0";
 /// WAL file magic (8 bytes).
 const WAL_MAGIC: &[u8; 8] = b"DAMWAL\0\0";
-/// Format version both files carry. Bump on any layout change.
-pub const FORMAT_VERSION: u32 = 1;
+/// Format version both files carry. Bump on any layout change. Version 2
+/// checkpoints hold the window's planes plus an explicit epoch count;
+/// version 1 held every epoch ever closed.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Why a checkpoint or WAL could not be read or written.
 #[derive(Debug)]
@@ -95,14 +102,18 @@ impl From<std::io::Error> for CheckpointError {
 }
 
 /// Everything the coordinator needs persisted to resume bit-identically:
-/// the full retained epoch-plane history (ring and tree rebuild from
-/// it), counters, health, per-epoch node coverage of the live window,
-/// and the EM warm-start seed.
+/// the epoch ring's window planes (the ring refills from them), the
+/// epoch count, counters, health, per-epoch node coverage of the live
+/// window, and the EM warm-start seed. Its size is bounded by the
+/// window, whatever the stream length.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointState {
     /// Cells per plane.
     pub n_cells: usize,
-    /// Every closed epoch's merged plane, epoch order.
+    /// Epochs closed so far (the stream head the restore resumes at).
+    pub epochs: usize,
+    /// The merged planes of the most recent `min(epochs, window)` epochs,
+    /// oldest first — exactly what the epoch ring holds.
     pub planes: Vec<Vec<f64>>,
     /// Total reports ingested.
     pub reports: u64,
@@ -189,8 +200,13 @@ impl<'a> Reader<'a> {
         Self { buf, pos: 0 }
     }
 
+    /// Bytes not yet consumed.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn bytes(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], CheckpointError> {
-        if self.pos + n > self.buf.len() {
+        if n > self.remaining() {
             return Err(CheckpointError::Truncated { context });
         }
         let out = &self.buf[self.pos..self.pos + n];
@@ -218,6 +234,22 @@ impl<'a> Reader<'a> {
 
     fn usize(&mut self, context: &'static str) -> Result<usize, CheckpointError> {
         Ok(self.u64(context)? as usize)
+    }
+
+    /// Fails with `Truncated` unless `n` items of `width` bytes each fit
+    /// in the bytes left — the check every length field passes before
+    /// anything is allocated from it.
+    fn fits(&self, n: usize, width: usize, context: &'static str) -> Result<(), CheckpointError> {
+        match n.checked_mul(width) {
+            Some(len) if len <= self.remaining() => Ok(()),
+            _ => Err(CheckpointError::Truncated { context }),
+        }
+    }
+
+    /// Reads `n` f64 values, allocating only once they are known to fit.
+    fn f64s(&mut self, n: usize, context: &'static str) -> Result<Vec<f64>, CheckpointError> {
+        self.fits(n, 8, context)?;
+        (0..n).map(|_| self.f64(context)).collect()
     }
 }
 
@@ -259,6 +291,7 @@ impl CheckpointState {
         buf.extend_from_slice(CKPT_MAGIC);
         buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         push_u64(&mut buf, self.n_cells as u64);
+        push_u64(&mut buf, self.epochs as u64);
         push_u64(&mut buf, self.planes.len() as u64);
         push_u64(&mut buf, self.reports);
         push_u64(&mut buf, self.clock);
@@ -317,7 +350,13 @@ impl CheckpointState {
         if n_cells == 0 {
             return Err(CheckpointError::Corrupt { detail: "n_cells = 0".into() });
         }
+        let epochs = r.usize("epochs")?;
         let n_planes = r.usize("n_planes")?;
+        if n_planes > epochs {
+            return Err(CheckpointError::Corrupt {
+                detail: format!("{n_planes} planes for {epochs} epochs"),
+            });
+        }
         let reports = r.u64("reports")?;
         let clock = r.u64("clock")?;
         let health = decode_health(&mut r)?;
@@ -327,32 +366,27 @@ impl CheckpointState {
             retries: r.u64("stats.retries")?,
         };
         let n_cov = r.usize("coverage.len")?;
-        let mut coverage = Vec::with_capacity(n_cov.min(1 << 16));
-        for _ in 0..n_cov {
-            coverage.push(r.usize("coverage entry")?);
-        }
+        r.fits(n_cov, 8, "coverage")?;
+        let coverage = (0..n_cov).map(|_| r.usize("coverage entry")).collect::<Result<_, _>>()?;
         let snapshot_em_iters = r.u64("snapshot_em_iters")?;
         let snapshot_warm = r.u8("snapshot_warm")? != 0;
         let warm = if r.u8("warm flag")? != 0 {
             let n_warm = r.usize("warm.len")?;
-            let mut w = Vec::with_capacity(n_warm.min(1 << 24));
-            for _ in 0..n_warm {
-                w.push(r.f64("warm cell")?);
-            }
-            Some(w)
+            Some(r.f64s(n_warm, "warm cells")?)
         } else {
             None
         };
-        let mut planes = Vec::with_capacity(n_planes.min(1 << 20));
-        for _ in 0..n_planes {
-            let mut plane = Vec::with_capacity(n_cells);
-            for _ in 0..n_cells {
-                plane.push(r.f64("plane cell")?);
-            }
-            planes.push(plane);
+        r.fits(n_planes, n_cells.saturating_mul(8), "planes")?;
+        let planes =
+            (0..n_planes).map(|_| r.f64s(n_cells, "plane cells")).collect::<Result<_, _>>()?;
+        if r.remaining() != 0 {
+            return Err(CheckpointError::Corrupt {
+                detail: format!("{} bytes past the last plane", r.remaining()),
+            });
         }
         Ok(Self {
             n_cells,
+            epochs,
             planes,
             reports,
             clock,
@@ -402,10 +436,7 @@ impl WalEntry {
             quarantined: r.u64("wal.quarantined")?,
             clamped: r.u64("wal.clamped")?,
         };
-        let mut plane = Vec::with_capacity(n_cells);
-        for _ in 0..n_cells {
-            plane.push(r.f64("wal plane cell")?);
-        }
+        let plane = r.f64s(n_cells, "wal plane cells")?;
         let end = r.pos;
         let recorded = r.u64("wal entry checksum")?;
         if fnv1a(&r.buf[start..end]) != recorded {

@@ -19,24 +19,26 @@
 //! inverse coverage so the epoch's expected mass matches a full-coverage
 //! epoch — and the rescale is **quantized** (`(v·K/arrived).round()`):
 //! counts stay whole numbers, which keeps every downstream structure
-//! (epoch ring increments, tree node merges, checkpoint replay) in
-//! exact integer `f64` arithmetic — the property all the bit-identity
-//! guarantees in this crate rest on. The thinner evidence is recorded
-//! as [`dam_stream::PipelineHealth::nodes_missed`] and flagged via
-//! `partial_window` while any under-covered epoch remains in the
-//! window.
+//! (epoch ring increments, the ring refilled from a checkpoint, WAL
+//! replay) in exact integer `f64` arithmetic — the property all the
+//! bit-identity guarantees in this crate rest on. The thinner evidence
+//! is recorded as [`dam_stream::PipelineHealth::nodes_missed`] and
+//! flagged via `partial_window` while any under-covered epoch remains
+//! in the window.
 //!
 //! # Crash recovery
 //!
 //! With a [`CheckpointStore`] attached, every close appends a
 //! [`WalEntry`] and every `checkpoint_every` epochs a full
-//! [`CheckpointState`] is written (truncating the WAL). Recovery
-//! restores the checkpoint, republishes the last snapshot (the
-//! estimator's warm state *is* the last published estimate — no EM
-//! re-run, which would advance the warm chain), then replays WAL
-//! entries re-running the window estimate for each, reproducing the
-//! uncrashed run's state bit-for-bit. The recovery tests sweep a kill
-//! at **every** epoch boundary at 1 and 4 threads.
+//! [`CheckpointState`] is written (truncating the WAL). A checkpoint
+//! holds only the window's planes, so its size — and the restore's
+//! work — stays constant once the window fills. Recovery restores the
+//! checkpoint, republishes the last snapshot (the estimator's warm
+//! state *is* the last published estimate — no EM re-run, which would
+//! advance the warm chain), then replays WAL entries re-running the
+//! window estimate for each, reproducing the uncrashed run's state
+//! bit-for-bit. The recovery tests sweep a kill at **every** epoch
+//! boundary at 1 and 4 threads.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -256,6 +258,23 @@ impl Coordinator {
                 detail: format!("checkpoint plane width {} != pipeline {n}", state.n_cells),
             });
         }
+        // The ring holds `min(epochs, window)` planes and the coverage
+        // queue one entry per held plane; anything else was written under
+        // a different window (or is damaged) and cannot resume this
+        // pipeline bit-identically.
+        let held = state.epochs.min(self.est.config().window);
+        if state.planes.len() != held || state.coverage.len() != held {
+            return Err(CheckpointError::Corrupt {
+                detail: format!(
+                    "checkpoint holds {} planes and {} coverage entries, a window of {} over {} \
+                     epochs holds {held}",
+                    state.planes.len(),
+                    state.coverage.len(),
+                    self.est.config().window,
+                    state.epochs,
+                ),
+            });
+        }
         if let Some(bad) = state.planes.iter().position(|p| p.len() != n) {
             return Err(CheckpointError::Corrupt {
                 detail: format!(
@@ -275,7 +294,7 @@ impl Coordinator {
                 });
             }
         }
-        self.est.restore(&state.planes, state.reports, state.health, state.warm);
+        self.est.restore(&state.planes, state.epochs, state.reports, state.health, state.warm);
         self.clock = state.clock;
         self.sim.set(self.clock);
         self.coverage = state.coverage.into_iter().collect();
@@ -364,7 +383,7 @@ impl Coordinator {
         &self.stats
     }
 
-    /// The underlying streaming estimator (window counts, health, tree).
+    /// The underlying streaming estimator (window counts, health, ring).
     #[inline]
     pub fn estimator(&self) -> &StreamingEstimator {
         &self.est
@@ -545,14 +564,10 @@ impl Coordinator {
     }
 
     fn state_snapshot(&self, last: &WindowEstimate) -> CheckpointState {
-        let epochs = self.est.epochs();
-        let planes = (0..epochs)
-            // lint: allow(no-panic-in-lib, t ranges over epochs() which the tree retains by construction)
-            .map(|t| self.est.tree().epoch_plane(t).expect("retained epoch").to_vec())
-            .collect();
         CheckpointState {
             n_cells: self.est.client().kernel().n_out(),
-            planes,
+            epochs: self.est.epochs(),
+            planes: self.est.tree().planes().map(<[f64]>::to_vec).collect(),
             reports: self.est.reports(),
             clock: self.clock,
             health: self.est.health(),

@@ -187,6 +187,7 @@ fn state(planes: Vec<Vec<f64>>, warm: Option<Vec<f64>>) -> CheckpointState {
     let epochs = planes.len();
     CheckpointState {
         n_cells: 4,
+        epochs,
         planes,
         reports: 100 * epochs as u64,
         clock: 7 * epochs as u64,
@@ -362,5 +363,74 @@ fn wal_version_mismatch_is_a_structured_error() {
         store.read_wal(),
         Err(CheckpointError::VersionMismatch { found: 7, expected: _ })
     ));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Seals `bytes[..len - 8]` with a fresh checksum, so a crafted field —
+/// not the integrity check — is what the reader meets.
+fn reseal(bytes: &mut [u8]) {
+    let payload_len = bytes.len() - 8;
+    let sum = fnv1a(&bytes[..payload_len]);
+    bytes[payload_len..].copy_from_slice(&sum.to_le_bytes());
+}
+
+#[test]
+fn flipped_wal_header_length_bits_are_structured_errors() {
+    // The WAL header is not checksummed, so its `n_cells` (bytes 12..20)
+    // reaches the decoder as-is: every single-bit flip, up to a length
+    // no allocator could serve, must read as an error — never a panic or
+    // an allocation abort.
+    let dir = scratch("wal-flip");
+    let _ = fs::remove_dir_all(&dir);
+    let store = CheckpointStore::new(&dir).unwrap();
+    store.append_wal(&wal_entry(0)).unwrap();
+    store.append_wal(&wal_entry(1)).unwrap();
+    let clean = fs::read(store.wal_path()).unwrap();
+    for bit in 0..64 {
+        let mut bytes = clean.clone();
+        bytes[12 + bit / 8] ^= 1 << (bit % 8);
+        fs::write(store.wal_path(), &bytes).unwrap();
+        assert!(store.read_wal().is_err(), "wal n_cells bit {bit} flip was accepted");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn flipped_checkpoint_length_bits_are_structured_errors() {
+    // A checkpoint whose length fields were damaged before sealing passes
+    // the checksum; each field must still be bounded by the bytes that
+    // follow it. Layout (v2): magic 8, version 4, n_cells 8, epochs 8,
+    // n_planes 8, reports 8, clock 8, health 81, stats 24, coverage.len
+    // 8 + 8 per entry, snapshot_em_iters 8, snapshot_warm 1, warm flag 1,
+    // warm.len 8, ...
+    let original = state(vec![vec![1.0, 2.0, 3.0, 4.0]; 3], Some(vec![0.25; 4]));
+    let n_cells_at = 12;
+    let n_planes_at = 28;
+    let coverage_len_at = 157;
+    let warm_len_at = coverage_len_at + 8 + 8 * original.coverage.len() + 10;
+    let dir = scratch("ckpt-flip");
+    let _ = fs::remove_dir_all(&dir);
+    let store = CheckpointStore::new(&dir).unwrap();
+    store.write_checkpoint(&original).unwrap();
+    let clean = fs::read(store.checkpoint_path()).unwrap();
+    let field = |at: usize| u64::from_le_bytes(clean[at..at + 8].try_into().unwrap());
+    assert_eq!(field(n_cells_at), 4, "layout drifted: n_cells");
+    assert_eq!(field(n_planes_at), 3, "layout drifted: n_planes");
+    assert_eq!(field(coverage_len_at), 3, "layout drifted: coverage.len");
+    assert_eq!(field(warm_len_at), 4, "layout drifted: warm.len");
+    for (name, at) in [
+        ("n_cells", n_cells_at),
+        ("n_planes", n_planes_at),
+        ("coverage.len", coverage_len_at),
+        ("warm.len", warm_len_at),
+    ] {
+        for bit in 0..64 {
+            let mut bytes = clean.clone();
+            bytes[at + bit / 8] ^= 1 << (bit % 8);
+            reseal(&mut bytes);
+            fs::write(store.checkpoint_path(), &bytes).unwrap();
+            assert!(store.read_checkpoint().is_err(), "{name} bit {bit} flip was accepted");
+        }
+    }
     let _ = fs::remove_dir_all(&dir);
 }

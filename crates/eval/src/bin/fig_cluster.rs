@@ -24,7 +24,9 @@
 //! * **Crash recovery** — a K=4 coordinator with a checkpoint store is
 //!   killed cold mid-stream, recovered from checkpoint + WAL, and run to
 //!   the end: every post-recovery estimate must be bit-identical to the
-//!   uninterrupted run's.
+//!   uninterrupted run's, and every checkpoint written after the window
+//!   fills must be the same size (read from the `coord_checkpoint_bytes`
+//!   deltas) — persisted state is bounded by the window, not the stream.
 //! * **Quorum degradation** — one of eight nodes is forced dark for a
 //!   full window: every close must still make quorum, the degradation
 //!   must be visible (`nodes_missed`, `partial_window`), and the mean
@@ -194,13 +196,28 @@ fn main() {
                 .map(|e| bits(c.ingest_epoch(&epoch_data[e]).unwrap().snapshot.estimate.values()))
                 .collect()
         };
+        // Bytes of each checkpoint written once the window is full, on
+        // both sides of the crash.
+        let mut full_window_checkpoints = Vec::new();
+        let mut close = |cluster: &mut Cluster, e: usize| {
+            let written = |c: &Cluster| {
+                c.coordinator().estimator().obs().counter_value("coord_checkpoint_bytes")
+            };
+            let before = written(cluster);
+            let out = cluster.ingest_epoch(&epoch_data[e]).expect("epoch close");
+            let delta = written(cluster) - before;
+            if delta > 0 && e + 1 >= window {
+                full_window_checkpoints.push(delta);
+            }
+            out
+        };
         {
             let store = CheckpointStore::new(&dir).expect("scratch dir");
             let mut doomed =
                 Cluster::with_store(grid.clone(), stream_config(&ctx, window), cfg, plan, store, 2)
                     .expect("fresh store");
             for e in 0..kill_at {
-                doomed.ingest_epoch(&epoch_data[e]).expect("pre-kill epoch");
+                close(&mut doomed, e);
             }
             // Killed cold here: dropped with a WAL tail past the last
             // checkpoint, no shutdown path.
@@ -211,7 +228,7 @@ fn main() {
                 .expect("recovery");
         assert_eq!(revived.coordinator().next_epoch(), kill_at, "recovery lost epochs");
         for e in kill_at..epochs {
-            let out = revived.ingest_epoch(&epoch_data[e]).expect("post-recovery epoch");
+            let out = close(&mut revived, e);
             assert_eq!(
                 bits(out.snapshot.estimate.values()),
                 uninterrupted[e],
@@ -219,10 +236,21 @@ fn main() {
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
+        assert!(
+            full_window_checkpoints.len() >= 2,
+            "too few full-window checkpoints to compare: {full_window_checkpoints:?}"
+        );
+        assert!(
+            full_window_checkpoints.iter().all(|&b| b == full_window_checkpoints[0]),
+            "checkpoint size grows with the stream: {full_window_checkpoints:?} bytes"
+        );
         println!(
             "recovery check: K={k} coordinator killed after epoch {kill_at}, recovered from \
-             checkpoint + WAL; all {} post-recovery estimates bit-identical",
-            epochs - kill_at
+             checkpoint + WAL; all {} post-recovery estimates bit-identical; {} full-window \
+             checkpoints all {} bytes",
+            epochs - kill_at,
+            full_window_checkpoints.len(),
+            full_window_checkpoints[0]
         );
     }
 

@@ -7,9 +7,9 @@
 //! * the resolved [`EmOperator`] (stencil offsets or FFT plan + kernel
 //!   spectrum, built once — every window's PostProcess reuses it);
 //! * an [`EpochRing`] maintaining the exact sliding-window counts
-//!   incrementally (one plane add + one subtract per epoch);
-//! * a [`CountTree`] over the full epoch history for O(log T) prefix and
-//!   arbitrary-window queries;
+//!   incrementally (one plane add + one subtract per epoch) — the only
+//!   history kept, so retained state is bounded by the window, not the
+//!   stream length;
 //! * a long-lived [`EmWorkspace`] plus the previous window's estimate, so
 //!   each window's EM **warm-starts** from the last solution under the
 //!   small `warm_em` budget ([`WindowEstimate::em_iters`] records the
@@ -40,7 +40,6 @@
 
 use crate::health::{names, PipelineHealth};
 use crate::ring::EpochRing;
-use crate::tree::CountTree;
 use dam_core::em2d::smooth_2d;
 use dam_core::validate::{sanitize_counts, IngestPolicy};
 use dam_core::{DamClient, DamConfig, EmOperator};
@@ -65,10 +64,6 @@ pub struct StreamConfig {
     pub window: usize,
     /// Master seed; epoch `e` reports through stream `(seed, e)`.
     pub seed: u64,
-    /// Laplace scale for the continual-counting tree's per-node noise
-    /// (`0.0`, the LDP default: reports are already private, the tree is
-    /// a query-cost structure only).
-    pub noise_scale: f64,
     /// EM knobs for **warm-started** windows ([`EmParams::streaming`] by
     /// default): a small iteration budget — which doubles as the
     /// early-stopping regularizer against noise overfitting — plus the
@@ -108,7 +103,6 @@ impl StreamConfig {
             dam,
             window,
             seed,
-            noise_scale: 0.0,
             warm_em: EmParams::streaming(),
             warm_mix: 0.05,
             policy: IngestPolicy::Clamp,
@@ -188,7 +182,6 @@ pub struct StreamingEstimator {
     operator: EmOperator,
     grid: Grid2D,
     ring: EpochRing,
-    tree: CountTree,
     scratch: Vec<f64>,
     ws: EmWorkspace,
     prev: Option<Vec<f64>>,
@@ -213,7 +206,6 @@ impl StreamingEstimator {
         let client = DamClient::new(grid.clone(), &config.dam);
         let operator = EmOperator::new(client.kernel(), config.dam.backend);
         let n_out = client.kernel().n_out();
-        let tree_seed = splitmix64(config.seed ^ EPOCH_SALT);
         let hh = ObsHandles::register(&obs);
         // Which EM backend the operator actually resolved to (auto picks
         // stencil vs FFT from the measured crossover).
@@ -230,7 +222,6 @@ impl StreamingEstimator {
             operator,
             grid,
             ring: EpochRing::new(n_out, config.window),
-            tree: CountTree::new(n_out, config.noise_scale, tree_seed, config.dam.threads),
             scratch: Vec::new(),
             ws,
             prev: None,
@@ -266,10 +257,13 @@ impl StreamingEstimator {
         &self.client
     }
 
-    /// The continual-counting tree over the full epoch history.
+    /// The retained epoch history: the window ring, `min(epochs,
+    /// window)` planes. The name predates the ring being the only
+    /// history; it stays because callers read `tree().len()` as "epochs
+    /// retained" (the pipeline benchmark's `state.tree_epochs`).
     #[inline]
-    pub fn tree(&self) -> &CountTree {
-        &self.tree
+    pub fn tree(&self) -> &EpochRing {
+        &self.ring
     }
 
     /// The exact noisy-report counts of the current sliding window.
@@ -305,20 +299,16 @@ impl StreamingEstimator {
     /// grid (quarantining malformed ones per the configured
     /// [`IngestPolicy`], accounted in [`StreamingEstimator::health`]),
     /// randomizes the accepted remainder through the sharded report
-    /// pipeline (bit-identical for any thread count), slides the window
-    /// forward and appends the epoch plane to the continual-counting
-    /// tree. Returns the epoch index just ingested.
+    /// pipeline (bit-identical for any thread count) and slides the
+    /// window forward. Returns the epoch index just ingested.
     ///
     /// An all-valid batch produces output bit-identical to the historic
     /// unvalidated path — quarantined reports consume no randomness, so
     /// validation is invisible to clean streams.
     ///
-    /// The randomize/aggregate/window hot path reuses its buffers (shard
-    /// scratch and ring slots); the tree, by contrast, *retains* each
-    /// epoch — one O(n_cells) plane copy per epoch plus the amortized
-    /// dyadic parents, O(T·n_cells) total over the stream's life. That
-    /// history is what the O(log T) queries read; see the ROADMAP open
-    /// item on a retention policy for bounding it.
+    /// The randomize/aggregate/window path reuses its buffers (shard
+    /// scratch and ring slots), so a steady-state epoch allocates nothing
+    /// that outlives it.
     pub fn ingest_epoch(&mut self, points: &[Point]) -> usize {
         self.ingest_epoch_with(points, |_, _| {})
     }
@@ -326,10 +316,10 @@ impl StreamingEstimator {
     /// [`StreamingEstimator::ingest_epoch`] with a post-aggregation
     /// tamper hook: after the epoch's validated reports are randomized
     /// and aggregated, `tamper(epoch, plane)` may mutate the count plane
-    /// before it enters the window ring and the tree. This is the
-    /// fault-injection seam (`fig_stream --inject` wires
-    /// `dam_fault::FaultPlan` plane poisoning through it) — production
-    /// callers use [`StreamingEstimator::ingest_epoch`].
+    /// before it enters the window ring. This is the fault-injection
+    /// seam (`fig_stream --inject` wires `dam_fault::FaultPlan` plane
+    /// poisoning through it) — production callers use
+    /// [`StreamingEstimator::ingest_epoch`].
     ///
     /// Whatever the hook does, the pipeline stays serving: non-finite or
     /// negative cells it leaves behind are zeroed before the plane is
@@ -355,7 +345,6 @@ impl StreamingEstimator {
         tamper(self.epochs, &mut self.scratch);
         self.hh.sanitized_cells.add(sanitize_counts(&mut self.scratch) as u64);
         self.ring.push(&self.scratch);
-        self.tree.append(&self.scratch);
         self.reports += points.len() as u64;
         self.hh.epochs_ingested.incr();
         let dt = self.obs.now_ns().saturating_sub(t0);
@@ -373,8 +362,8 @@ impl StreamingEstimator {
     /// report partitions and a coordinator merged (and possibly rescaled)
     /// the planes. The plane runs the same retention path as
     /// [`StreamingEstimator::ingest_epoch`]'s locally-aggregated counts:
-    /// sanitize, slide the window, append to the tree. `summary` is the
-    /// merged validated-ingest accounting of the nodes that contributed
+    /// sanitize, then slide the window. `summary` is the merged
+    /// validated-ingest accounting of the nodes that contributed
     /// (disjoint node covers sum to the single-node summary), and its
     /// `seen` advances the report counter. Returns the epoch index just
     /// ingested.
@@ -392,7 +381,6 @@ impl StreamingEstimator {
         self.hh.clamped.add(summary.clamped);
         self.hh.sanitized_cells.add(sanitize_counts(&mut self.scratch) as u64);
         self.ring.push(&self.scratch);
-        self.tree.append(&self.scratch);
         self.reports += summary.seen;
         self.hh.epochs_ingested.incr();
         let epoch = self.epochs;
@@ -410,7 +398,6 @@ impl StreamingEstimator {
         self.scratch.clear();
         self.scratch.resize(n, 0.0);
         self.ring.push(&self.scratch);
-        self.tree.append(&self.scratch);
         self.hh.epochs_missed.incr();
         let epoch = self.epochs;
         self.epochs += 1;
@@ -494,29 +481,32 @@ impl StreamingEstimator {
     }
 
     /// Rebuilds a **fresh** estimator's retained state from a
-    /// checkpoint: re-ingests `planes` (epoch order, raw — no health
-    /// accounting, those counters arrive wholesale in `health`), then
+    /// checkpoint: refills the ring from `planes` (the window's planes,
+    /// oldest first, raw — no health accounting, those counters arrive
+    /// wholesale in `health`), sets the epoch count to `epochs`, then
     /// installs the persisted health record, report counter, and
-    /// warm-start seed. Ring and tree rebuild through the same exact
-    /// integer arithmetic that built them originally, so every
-    /// subsequent window estimate is bit-identical to the uncrashed
-    /// run's.
+    /// warm-start seed. Every plane holds whole-number counts, so the
+    /// refilled window sum has exactly the bits of the one built
+    /// incrementally over the whole stream, and every subsequent window
+    /// estimate is bit-identical to the uncrashed run's.
     ///
     /// Panics if this estimator has already ingested epochs — restore
-    /// targets a newly-constructed pipeline with the same config.
+    /// targets a newly-constructed pipeline with the same config — or if
+    /// `planes` is not the `min(epochs, window)` a ring would hold.
     pub fn restore(
         &mut self,
         planes: &[Vec<f64>],
+        epochs: usize,
         reports: u64,
         health: PipelineHealth,
         warm: Option<Vec<f64>>,
     ) {
         assert_eq!(self.epochs, 0, "restore targets a fresh estimator");
+        assert_eq!(planes.len(), epochs.min(self.ring.window()), "restore wants the window planes");
         for plane in planes {
             self.ring.push(plane);
-            self.tree.append(plane);
         }
-        self.epochs = planes.len();
+        self.epochs = epochs;
         self.reports = reports;
         health.store_into(&self.obs);
         self.prev = warm;
@@ -665,13 +655,30 @@ mod tests {
     fn tree_and_ring_agree_on_the_current_window() {
         let grid = Grid2D::new(BoundingBox::unit(), 6);
         let mut s = StreamingEstimator::new(grid, stream_config(3));
+        // A standalone history tree fed the same epoch planes, each
+        // re-derived from the epoch's report seed.
+        let mut tree = crate::CountTree::exact(s.client().kernel().n_out());
+        let mut plane = Vec::new();
         for e in 0..7 {
-            s.ingest_epoch(&focus_points((0.5, 0.5), 2_000, e));
+            let points = focus_points((0.5, 0.5), 2_000, e);
+            let seed = StreamingEstimator::epoch_seed(s.config().seed, e as usize);
+            let threads = s.config().dam.threads;
+            s.client().report_batch_validated_in(
+                &points,
+                seed,
+                threads,
+                IngestPolicy::Clamp,
+                &mut plane,
+            );
+            tree.append(&plane);
+            s.ingest_epoch(&points);
         }
         // The ring's incremental window equals the tree's dyadic query
-        // for the same epoch range (both exact integer sums).
-        let from_tree = s.tree().window(4, 7);
-        assert_eq!(s.window_counts(), &from_tree[..]);
+        // for the same epoch range (both exact integer sums), and the
+        // estimator retains only those window planes.
+        assert_eq!(s.window_counts(), &tree.window(4, 7)[..]);
+        assert_eq!(s.tree().len(), 3);
+        assert_eq!(tree.len(), 7);
     }
 
     #[test]
@@ -744,9 +751,9 @@ mod tests {
             plane[2] = -5.0;
         });
         assert_eq!(s.health().sanitized_cells, 3);
-        // The retained plane (ring and tree alike) is finite.
+        // The retained plane is finite.
         assert!(s.window_counts().iter().all(|v| v.is_finite() && *v >= 0.0));
-        assert!(s.tree().window(0, 1).iter().all(|v| v.is_finite() && *v >= 0.0));
+        assert!(s.tree().planes().flatten().all(|v| v.is_finite() && *v >= 0.0));
         let est = s.estimate_window();
         assert!(est.histogram.values().iter().all(|v| v.is_finite()));
         assert!(!est.health.is_clean());

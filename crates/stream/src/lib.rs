@@ -6,15 +6,15 @@
 //! need — timestamped reports arrive in *epochs* and a sliding-window
 //! estimate is available at all times:
 //!
-//! * [`tree`] — binary-tree **continual counting** over count planes
-//!   (Chan–Shi–Song dyadic intervals): any prefix or window of the report
-//!   stream costs O(log T) plane reads, and the optional central-DP mode
-//!   pays only an O(log T) noise-variance factor per node
-//!   ([`tree::CountTree`]);
 //! * [`ring`] — the **epoch ring buffer** ([`ring::EpochRing`]): the
 //!   last W epoch planes with the sliding-window sum maintained
 //!   incrementally and exactly (whole-number counts), slots reused in
-//!   place;
+//!   place. It is the estimator's only history, so retained state,
+//!   checkpoints and recovery are bounded by the window;
+//! * [`tree`] — a standalone binary-tree **continual counting** index
+//!   over count planes (Chan–Shi–Song dyadic intervals): any prefix or
+//!   window of a full epoch history costs O(log T) plane reads
+//!   ([`tree::CountTree`]). Nothing on the estimation path keeps one;
 //! * [`estimator`] — the [`estimator::StreamingEstimator`] facade wrapping
 //!   `dam_core::DamConfig`: epochs ingest through the deterministic
 //!   sharded report pipeline (bit-identical for any thread count), each

@@ -88,15 +88,21 @@ impl EpochRing {
         self.len = (self.len + 1).min(self.window);
     }
 
+    /// The held planes in epoch order, oldest first — what a checkpoint
+    /// persists. Pushing them into a fresh ring rebuilds the same window
+    /// sum bit for bit (whole-number counts).
+    pub fn planes(&self) -> impl Iterator<Item = &[f64]> + '_ {
+        let start = if self.len < self.window { 0 } else { self.head };
+        (0..self.len).map(move |i| self.planes[(start + i) % self.window].as_slice())
+    }
+
     /// Recomputes the window sum from the held planes in epoch order
     /// (oldest first) — the O(W) reference the incremental sum must match
     /// bit-for-bit.
     pub fn recompute_into(&self, out: &mut [f64]) {
         assert_eq!(out.len(), self.n_cells, "output does not match ring width");
         out.fill(0.0);
-        let start = if self.len < self.window { 0 } else { self.head };
-        for i in 0..self.len {
-            let plane = &self.planes[(start + i) % self.window];
+        for plane in self.planes() {
             for (acc, &v) in out.iter_mut().zip(plane) {
                 *acc += v;
             }
@@ -150,6 +156,25 @@ mod tests {
         }
         let after: Vec<*const f64> = ring.planes.iter().map(|p| p.as_ptr()).collect();
         assert_eq!(ptrs, after, "steady-state pushes must reuse the evicted slots");
+    }
+
+    #[test]
+    fn refilled_ring_matches_the_incremental_one_bit_for_bit() {
+        let n_cells = 6;
+        let mut ring = EpochRing::new(n_cells, 3);
+        for e in 0..10 {
+            ring.push(&plane(e, n_cells));
+        }
+        let held: Vec<&[f64]> = ring.planes().collect();
+        let want: Vec<Vec<f64>> = (7..10).map(|e| plane(e, n_cells)).collect();
+        assert_eq!(held, want.iter().map(Vec::as_slice).collect::<Vec<_>>(), "oldest first");
+        let mut refilled = EpochRing::new(n_cells, 3);
+        for p in held {
+            refilled.push(p);
+        }
+        let bits =
+            |r: &EpochRing| r.window_counts().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&refilled), bits(&ring));
     }
 
     #[test]

@@ -11,22 +11,12 @@
 //! O(log T) plane reads instead of an O(T) rescan — the property the
 //! `streaming` bench pins against a naive per-epoch accumulator.
 //!
-//! Two deployment models share the structure:
-//!
-//! * **LDP streaming** (`noise_scale = 0`): every epoch plane is already
-//!   private (each report went through the local randomizer), so node
-//!   sums are plain post-processing and queries are *exact* sums of the
-//!   ingested planes. The tree is purely a query-cost structure.
-//! * **Central continual counting** (`noise_scale = b > 0`): each dyadic
-//!   node carries one fresh Laplace(`b`) draw per cell, so a prefix query
-//!   aggregates `popcount(t)` noisy nodes — noise *variance*
-//!   `2b²·popcount(t) = O(log T)` instead of the O(T) of per-epoch
-//!   noising. Node noise is **lazily materialised** from a deterministic
-//!   per-node RNG stream (`(noise_seed, level, index)` through
-//!   SplitMix64): a node's noise is a pure function of its identity, so
-//!   repeated queries see the *same* noisy node (as the model requires),
-//!   shared nodes cancel in window differences, and nothing about the
-//!   result depends on the executing thread count.
+//! Every epoch plane is already private (each report went through the
+//! local randomizer), so node sums are plain post-processing and queries
+//! are *exact* sums of the ingested planes: the tree is purely a
+//! query-cost structure. It keeps every epoch, so it is a standalone
+//! history index — the streaming estimator retains only its
+//! [`crate::EpochRing`] window.
 //!
 //! Node merges and query accumulation run row-parallel on the persistent
 //! worker pool once the work crosses the measured
@@ -36,8 +26,6 @@
 
 use crate::health::StreamError;
 use dam_core::tuning::PARALLEL_WORK_THRESHOLD;
-use rand::rngs::StdRng;
-use rand::Rng;
 use rayon::prelude::*;
 
 /// Fixed row-chunk size for parallel plane arithmetic. A pure function of
@@ -45,37 +33,27 @@ use rayon::prelude::*;
 /// what keeps parallel merges bit-identical to the serial reference.
 const PLANE_CHUNK: usize = 16_384;
 
-/// Salt separating per-node noise streams from every other derived stream
-/// in the workspace.
-const NODE_NOISE_SALT: u64 = 0xC071_71CC_5500_0001;
-
 /// A dyadic forest of count planes supporting O(log T) prefix and window
 /// sums over an append-only epoch stream.
 #[derive(Debug, Clone)]
 pub struct CountTree {
     n_cells: usize,
-    noise_scale: f64,
-    noise_seed: u64,
     threads: Option<usize>,
-    /// `levels[l][k]` sums epochs `[k·2ˡ, (k+1)·2ˡ)` exactly (noise is
-    /// added lazily at query time, so exact queries stay available).
+    /// `levels[l][k]` sums epochs `[k·2ˡ, (k+1)·2ˡ)` exactly.
     levels: Vec<Vec<Vec<f64>>>,
 }
 
 impl CountTree {
-    /// A tree over planes of `n_cells` cells with per-node Laplace noise
-    /// of scale `noise_scale` (`0.0` = exact), noise streams keyed by
-    /// `noise_seed`, and plane arithmetic on up to `threads` workers.
-    pub fn new(n_cells: usize, noise_scale: f64, noise_seed: u64, threads: Option<usize>) -> Self {
+    /// A tree over planes of `n_cells` cells with plane arithmetic on up
+    /// to `threads` workers.
+    pub fn new(n_cells: usize, threads: Option<usize>) -> Self {
         assert!(n_cells > 0, "planes must have at least one cell");
-        assert!(noise_scale >= 0.0 && noise_scale.is_finite(), "bad noise scale");
-        Self { n_cells, noise_scale, noise_seed, threads, levels: Vec::new() }
+        Self { n_cells, threads, levels: Vec::new() }
     }
 
-    /// An exact (noise-free) tree — the LDP-streaming deployment, where
-    /// the per-report randomizer already paid the privacy cost.
+    /// A tree with plane arithmetic on the whole pool.
     pub fn exact(n_cells: usize) -> Self {
-        Self::new(n_cells, 0.0, 0, None)
+        Self::new(n_cells, None)
     }
 
     /// Number of epochs ingested so far.
@@ -96,14 +74,7 @@ impl CountTree {
         self.n_cells
     }
 
-    /// Laplace scale applied per node and cell at query time.
-    #[inline]
-    pub fn noise_scale(&self) -> f64 {
-        self.noise_scale
-    }
-
-    /// Nodes a prefix query `[0, t)` reads: `popcount(t)`. The noise
-    /// variance of a noisy prefix is exactly `2·scale²·prefix_nodes(t)`.
+    /// Nodes a prefix query `[0, t)` reads: `popcount(t)`.
     #[inline]
     pub fn prefix_nodes(t: usize) -> usize {
         t.count_ones() as usize
@@ -113,16 +84,6 @@ impl CountTree {
     #[inline]
     pub fn merge_is_parallel(&self) -> bool {
         self.n_cells >= PARALLEL_WORK_THRESHOLD
-    }
-
-    /// Epoch `t`'s retained count plane (a level-0 leaf), or `None` past
-    /// the stream head. Checkpoint writers read the leaves directly —
-    /// re-appending them into a fresh tree reproduces every dyadic
-    /// parent bit-for-bit (whole-number plane sums are exact and the
-    /// merge order is a pure function of the epoch index).
-    #[inline]
-    pub fn epoch_plane(&self, t: usize) -> Option<&[f64]> {
-        self.levels.first().and_then(|leaves| leaves.get(t)).map(Vec::as_slice)
     }
 
     /// Ingests epoch `len()`'s count plane, closing every dyadic node the
@@ -150,7 +111,7 @@ impl CountTree {
         }
     }
 
-    /// Writes the (noisy, if configured) prefix sum `[0, t)` into `out`.
+    /// Writes the prefix sum `[0, t)` into `out`.
     ///
     /// Panics on out-of-range `t` — the right contract for in-process
     /// callers whose bounds are their own invariants. Callers whose `t`
@@ -174,10 +135,8 @@ impl CountTree {
     }
 
     /// Writes the window sum `[t0, t1)` into `out` as the difference of
-    /// two prefixes. Nodes shared by both decompositions cancel to
-    /// floating-point rounding (noise included — a node's noise is
-    /// deterministic), so the realised noise covers only the symmetric
-    /// difference; exact planes cancel exactly (integer arithmetic).
+    /// two prefixes. Nodes shared by both decompositions cancel exactly
+    /// (whole-number planes, integer arithmetic).
     ///
     /// Panics on reversed or out-of-range bounds; see
     /// [`CountTree::try_window_into`] for the structured-error form.
@@ -234,7 +193,7 @@ impl CountTree {
     }
 
     /// Adds `sign ×` every node of the dyadic decomposition of `[0, t)`
-    /// (plane + lazily-materialised node noise) onto `out`.
+    /// onto `out`.
     fn accumulate_prefix(&self, t: usize, sign: f64, out: &mut [f64]) {
         debug_assert!(t <= self.len());
         let mut pos = 0usize;
@@ -244,9 +203,6 @@ impl CountTree {
             }
             let k = pos >> level;
             self.add_plane(&self.levels[level as usize][k], sign, out);
-            if self.noise_scale > 0.0 {
-                self.add_node_noise(level as u64, k as u64, sign, out);
-            }
             pos += 1 << level;
         }
         debug_assert_eq!(pos, t);
@@ -289,28 +245,6 @@ impl CountTree {
             }
         }
         parent
-    }
-
-    /// Adds `sign ×` node `(level, k)`'s Laplace noise to `out`. The draw
-    /// order is the cell order of the node's private stream, so the same
-    /// node always realises the same noise.
-    fn add_node_noise(&self, level: u64, k: u64, sign: f64, out: &mut [f64]) {
-        let node_id = (level << 48) | k;
-        let mut rng = dam_geo::rng::keyed(self.noise_seed, NODE_NOISE_SALT, node_id);
-        for acc in out.iter_mut() {
-            *acc += sign * laplace(&mut rng, self.noise_scale);
-        }
-    }
-}
-
-/// One Laplace(`scale`) draw by inverse CDF.
-fn laplace(rng: &mut StdRng, scale: f64) -> f64 {
-    let u: f64 = rng.gen::<f64>() - 0.5;
-    let mag = (1.0 - 2.0 * u.abs()).max(f64::MIN_POSITIVE).ln();
-    if u >= 0.0 {
-        -scale * mag
-    } else {
-        scale * mag
     }
 }
 
@@ -374,53 +308,6 @@ mod tests {
         // most ⌊log₂ T⌋ + 1 nodes.
         for t in 1..=4096usize {
             assert!(CountTree::prefix_nodes(t) <= t.ilog2() as usize + 1);
-        }
-    }
-
-    #[test]
-    fn noisy_queries_are_repeatable_and_centered() {
-        let n_cells = 64;
-        let mut tree = CountTree::new(n_cells, 3.0, 99, None);
-        let planes: Vec<Vec<f64>> = (0..6).map(|e| epoch_plane(e, n_cells)).collect();
-        for plane in &planes {
-            tree.append(plane);
-        }
-        let a = tree.prefix(5);
-        let b = tree.prefix(5);
-        assert_eq!(a, b, "a node's noise must be a pure function of its identity");
-        // Nodes shared by both sides of a window difference cancel (to
-        // floating-point rounding): [4, 4) is empty and its
-        // decompositions share every node, so far less than one noise
-        // draw's worth of mass may remain.
-        let empty = tree.window(4, 4);
-        assert!(empty.iter().all(|&v| v.abs() < 1e-12), "shared-node noise must cancel");
-    }
-
-    #[test]
-    fn node_noise_variance_scales_with_popcount() {
-        // Empirical per-cell noise variance of a noisy prefix must track
-        // 2·scale²·popcount(t) — the O(log T) factor of the dyadic
-        // decomposition. Wide planes give the variance estimate enough
-        // samples to land within a loose band.
-        let n_cells = 40_000;
-        let scale = 2.0;
-        let mut noisy = CountTree::new(n_cells, scale, 4242, None);
-        let mut exact = CountTree::exact(n_cells);
-        for e in 0..16 {
-            let plane = epoch_plane(e, n_cells);
-            noisy.append(&plane);
-            exact.append(&plane);
-        }
-        for t in [8usize, 12, 15] {
-            let with_noise = noisy.prefix(t);
-            let clean = exact.prefix(t);
-            let var = with_noise.iter().zip(&clean).map(|(n, c)| (n - c) * (n - c)).sum::<f64>()
-                / n_cells as f64;
-            let expect = 2.0 * scale * scale * CountTree::prefix_nodes(t) as f64;
-            assert!(
-                (var / expect - 1.0).abs() < 0.15,
-                "prefix {t}: variance {var:.2} vs expected {expect:.2}"
-            );
         }
     }
 
